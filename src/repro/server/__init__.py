@@ -8,7 +8,8 @@ SMT-LIB instances:
   error taxonomy (``parse`` / ``too_large`` / ``overloaded`` /
   ``timeout`` / ``draining`` / ``cancelled``), and located parse errors;
 * :mod:`~repro.server.httpio` — minimal asyncio HTTP/1.1 framing with
-  socket-layer request-size enforcement;
+  socket-layer request-size enforcement, the service skeleton both
+  serving tiers subclass, and the one client-side round trip;
 * :mod:`~repro.server.admission` — the bounded admission queue: explicit
   backpressure (reject, never buffer unboundedly), deadline-aware slot
   waits, drain support;
@@ -101,7 +102,7 @@ _LAZY = {
     "ProcessSolverBackend": "repro.server.procpool",
     "RouterConfig": "repro.server.router",
     "ServerConfig": "repro.server.app",
-    "ServerState": "repro.server.app",
+    "ServerState": "repro.server.httpio",
     "ShardRouter": "repro.server.router",
     "ShardSpec": "repro.server.router",
     "SolveReply": "repro.server.client",

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 import sys
 from typing import List, Optional
 
 from repro.server.app import ServerConfig, SolverServer
+from repro.server.httpio import serve_until_signalled
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,26 +197,13 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
 async def _run(config: ServerConfig) -> None:
     server = SolverServer(config)
     await server.start()
-    loop = asyncio.get_running_loop()
-
-    def _request_shutdown(signame: str) -> None:
-        print(f"[repro.server] {signame} received — draining...", flush=True)
-        asyncio.ensure_future(server.shutdown())
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, _request_shutdown, sig.name)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
-
-    print(
+    await serve_until_signalled(
+        server,
         f"[repro.server] serving on {server.host}:{server.port} "
         f"(workers={config.workers}, backend={config.backend}, "
         f"queue_limit={config.queue_limit}, "
         f"deadline_ms={config.deadline_ms:g})",
-        flush=True,
     )
-    await server.serve_forever()
     print("[repro.server] drained and stopped", flush=True)
 
 

@@ -1,4 +1,4 @@
-"""The asyncio solving server: routing, lifecycle, observability.
+"""The asyncio solving server: admission, workers, sessions, observability.
 
 Request path (``POST /solve``)::
 
@@ -6,12 +6,10 @@ Request path (``POST /solve``)::
     queue) → wait for worker slot (deadline-aware) → solve on executor
     thread (deadline-aware, cancellable) → respond
 
-Lifecycle state machine (see DESIGN.md Appendix E)::
-
-    CREATED ──start()──▶ SERVING ──shutdown()──▶ DRAINING ──▶ STOPPED
-                                   stop accepting; in-flight finishes
-                                   up to drain_timeout, the rest is
-                                   cancelled with typed envelopes
+The connection loop, the lifecycle state machine and the drain order are
+the shared :class:`~repro.server.httpio.HttpService` skeleton (see
+DESIGN.md Appendix E); this module supplies the endpoints and the drain
+hooks (admission stop, queue wait, session close, pool shutdown).
 
 Observability:
 
@@ -27,32 +25,35 @@ Observability:
 from __future__ import annotations
 
 import asyncio
-import enum
-import json
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Awaitable, Callable, Dict, Optional
 
-from repro.server import httpio
 from repro.server.admission import (
     AdmissionQueue,
     DeadlineExceededError,
     DrainingError,
     OverloadedError,
 )
+from repro.server.httpio import (
+    BackgroundService,
+    HttpRequest,
+    HttpService,
+    Reply,
+    ServerState,
+    envelope_reply,
+    json_reply,
+)
 from repro.server.protocol import (
     ERROR_BAD_REQUEST,
-    ERROR_CANCELLED,
     ERROR_DRAINING,
     ERROR_INTERNAL,
     ERROR_OVERLOADED,
     ERROR_TIMEOUT,
-    ERROR_TOO_LARGE,
-    ErrorInfo,
     ResponseEnvelope,
     SessionRequest,
     SolveRequest,
+    error_envelope,
     locate_parse_error,
 )
 from repro.server.sessions import (
@@ -71,15 +72,8 @@ from repro.smt.sexpr import SExprError
 __all__ = ["BackgroundServer", "ServerConfig", "ServerState", "SolverServer"]
 
 
-class ServerState(str, enum.Enum):
-    """Where the server is in its lifecycle."""
-
-    CREATED = "created"
-    SERVING = "serving"
-    DRAINING = "draining"
-    STOPPED = "stopped"
-
-    __str__ = str.__str__
+def _ms_since(start: float) -> float:
+    return (time.monotonic() - start) * 1000.0
 
 
 @dataclass
@@ -213,8 +207,10 @@ class ServerConfig:
             )
 
 
-class SolverServer:
+class SolverServer(HttpService):
     """The asyncio TCP/HTTP SMT-solving server (single event loop)."""
+
+    tier = "server"
 
     def __init__(
         self,
@@ -223,12 +219,11 @@ class SolverServer:
         metrics: Optional[MetricsRegistry] = None,
         cache: Optional[CompileCache] = None,
     ) -> None:
-        self.config = config if config is not None else ServerConfig()
+        super().__init__(config if config is not None else ServerConfig())
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = (
             cache if cache is not None else CompileCache(maxsize=self.config.cache_size)
         )
-        self.state = ServerState.CREATED
         self.queue = AdmissionQueue(
             queue_limit=self.config.queue_limit,
             workers=self.config.workers,
@@ -285,14 +280,6 @@ class SolverServer:
             max_sessions=self.config.max_sessions,
             metrics=self.metrics,
         )
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.Task] = set()
-        #: Connection tasks currently *inside* a request (parse → dispatch →
-        #: response write). Everything in ``_connections`` but not here is
-        #: idle in a keep-alive read and safe to cancel at any time.
-        self._active_requests: Set[asyncio.Task] = set()
-        self._stopped = asyncio.Event()
-        self._started_at = 0.0
 
     def _new_session(self) -> SolverSession:
         return SolverSession(
@@ -311,301 +298,26 @@ class SolverServer:
         )
 
     # ------------------------------------------------------------------ #
-    # lifecycle
+    # drain hooks
     # ------------------------------------------------------------------ #
 
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the kernel's choice)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self.config.port
-
-    async def start(self) -> None:
-        """Bind the listener and transition to SERVING."""
-        if self.state is not ServerState.CREATED:
-            raise RuntimeError(f"cannot start from state {self.state}")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self._started_at = time.monotonic()
-        self.state = ServerState.SERVING
-
-    async def serve_forever(self) -> None:
-        """Block until :meth:`shutdown` completes."""
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight, then stop.
-
-        1. transition to DRAINING — ``/healthz`` goes 503 and new ``/solve``
-           requests on open connections are rejected with ``draining``;
-        2. close the listening socket;
-        3. wait up to ``drain_timeout`` for queued + in-flight work;
-        4. close idle keep-alive connections and cancel whatever request
-           work remains (typed ``cancelled`` envelopes);
-        5. stop the executor, transition to STOPPED.
-        """
-        if self.state in (ServerState.DRAINING, ServerState.STOPPED):
-            await self._stopped.wait()
-            return
-        self.state = ServerState.DRAINING
+    async def _drain(self) -> bool:
+        """Stop admissions (new work is rejected as ``draining``), wait up to
+        ``drain_timeout`` for queued + in-flight work, then close every
+        live session, waiting out any check still on the executor."""
         self.queue.begin_drain()
-        if self._server is not None:
-            self._server.close()
-            # No ``await wait_closed()`` here: on Python 3.12+ it blocks
-            # until every client *transport* closes, which would stall the
-            # drain indefinitely while any keep-alive connection is open.
-            # ``close()`` alone stops the listener from accepting.
-
         drained = await self.queue.wait_idle(timeout=self.config.drain_timeout)
-        # Sticky sessions: close every live session, waiting out any check
-        # still running on the executor (bounded by the drain above — new
-        # session work was already rejected as draining).
         await self.sessions.close_all()
-        # Idle keep-alive connections sit blocked in ``read_request`` and
-        # would pin the shutdown forever if left alone — close them first
-        # (they are between requests; cancelling loses nothing).
-        for task in list(self._connections):
-            if task not in self._active_requests:
-                task.cancel()
-        if drained and self._active_requests:
-            # The queue is empty, so active connections are only flushing
-            # their final response bytes: give them a short grace period.
-            await asyncio.wait(
-                list(self._active_requests),
-                timeout=min(1.0, self.config.drain_timeout or 1.0),
-            )
-        # Whatever survived — stragglers past the drain timeout or slow
-        # flushers — is cancelled with typed ``cancelled`` envelopes.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            # ``asyncio.wait`` (bounded) rather than a bare ``gather``: the
-            # shutdown path must never hang on a connection that refuses to
-            # unwind.
-            await asyncio.wait(list(self._connections), timeout=5.0)
+        return drained
+
+    def _close(self) -> None:
         self.pool.shutdown(wait=False)
-        self.state = ServerState.STOPPED
-        self._stopped.set()
-
-    @property
-    def uptime(self) -> float:
-        if not self._started_at:
-            return 0.0
-        return time.monotonic() - self._started_at
-
-    # ------------------------------------------------------------------ #
-    # connection handling
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Shutdown after the drain timeout: connection-level cancel.
-            pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-                self._active_requests.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        while True:
-            try:
-                request = await asyncio.wait_for(
-                    httpio.read_request(reader, self.config.max_request_bytes),
-                    timeout=self.config.idle_timeout,
-                )
-            except asyncio.TimeoutError:
-                # A silent client must not pin a connection task (and with
-                # it, graceful shutdown) forever: idle keep-alive reads are
-                # bounded by ``idle_timeout``.
-                return
-            except httpio.RequestTooLarge as exc:
-                # Counted as a submitted-and-rejected request: the
-                # accounting identity must cover every byte the socket saw.
-                self.metrics.counter("server.requests").inc()
-                self.metrics.counter("server.rejected.too_large").inc()
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(type=ERROR_TOO_LARGE, message=str(exc))
-                )
-                await self._send_envelope(writer, envelope, close=True)
-                # Discard a bounded slice of the unread body so closing the
-                # socket does not RST the envelope out of the client's
-                # receive buffer (large senders may still see a reset).
-                await self._discard(reader)
-                return
-            except httpio.ProtocolError as exc:
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(type=ERROR_BAD_REQUEST, message=str(exc))
-                )
-                await self._send_envelope(writer, envelope, close=True)
-                return
-            if request is None:
-                return  # clean EOF
-            keep_alive = request.keep_alive
-            if task is not None:
-                # Mark this connection busy: shutdown only force-cancels
-                # connections that are *between* requests; in-request ones
-                # get the drain-timeout grace first.
-                self._active_requests.add(task)
-            try:
-                try:
-                    body, status, content_type = await self._dispatch(request)
-                except asyncio.CancelledError:
-                    # Shutdown hit after the drain timeout while this
-                    # request was mid-flight: best-effort typed envelope,
-                    # then unwind.
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_CANCELLED,
-                            message="solve cancelled by server shutdown",
-                        )
-                    )
-                    writer.write(
-                        httpio.render_response(
-                            envelope.http_status,
-                            envelope.to_json().encode("utf-8"),
-                            close=True,
-                        )
-                    )
-                    raise
-                except Exception as exc:  # noqa: BLE001 — last-resort boundary
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_INTERNAL,
-                            message=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    body = envelope.to_json().encode("utf-8")
-                    status = envelope.http_status
-                    content_type = "application/json"
-                writer.write(
-                    httpio.render_response(
-                        status, body, content_type=content_type, close=not keep_alive
-                    )
-                )
-                await writer.drain()
-            finally:
-                if task is not None:
-                    self._active_requests.discard(task)
-            if not keep_alive:
-                return
-
-    @staticmethod
-    async def _discard(
-        reader: asyncio.StreamReader, limit: int = 1 << 16, budget: float = 0.25
-    ) -> None:
-        """Best-effort bounded drain of unread request bytes."""
-        loop = asyncio.get_running_loop()
-        end = loop.time() + budget
-        remaining = limit
-        try:
-            while remaining > 0:
-                timeout = end - loop.time()
-                if timeout <= 0:
-                    return
-                chunk = await asyncio.wait_for(
-                    reader.read(min(8192, remaining)), timeout=timeout
-                )
-                if not chunk:
-                    return
-                remaining -= len(chunk)
-        except (asyncio.TimeoutError, ConnectionError):
-            return
-
-    async def _send_envelope(
-        self,
-        writer: asyncio.StreamWriter,
-        envelope: ResponseEnvelope,
-        close: bool = False,
-    ) -> None:
-        writer.write(
-            httpio.render_response(
-                envelope.http_status,
-                envelope.to_json().encode("utf-8"),
-                close=close,
-            )
-        )
-        await writer.drain()
-
-    # ------------------------------------------------------------------ #
-    # routing
-    # ------------------------------------------------------------------ #
-
-    async def _dispatch(self, request: httpio.HttpRequest):
-        path = request.path
-        if path == "/healthz" and request.method == "GET":
-            return self._healthz()
-        if path == "/metrics" and request.method == "GET":
-            return self._metrics_endpoint()
-        if path == "/solve":
-            if request.method != "POST":
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_BAD_REQUEST,
-                        message=f"/solve requires POST, got {request.method}",
-                    )
-                )
-                return envelope.to_json().encode("utf-8"), 405, "application/json"
-            envelope = await self._solve_endpoint(request)
-            return (
-                envelope.to_json().encode("utf-8"),
-                envelope.http_status,
-                "application/json",
-            )
-        if path.startswith("/session/"):
-            op = path[len("/session/"):]
-            if op in ("open", "assert", "push", "pop", "check", "close"):
-                if request.method != "POST":
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_BAD_REQUEST,
-                            message=f"{path} requires POST, got {request.method}",
-                        )
-                    )
-                    return (
-                        envelope.to_json().encode("utf-8"),
-                        405,
-                        "application/json",
-                    )
-                envelope = await self._session_endpoint(request, op)
-                return (
-                    envelope.to_json().encode("utf-8"),
-                    envelope.http_status,
-                    "application/json",
-                )
-        body = json.dumps(
-            {"error": {"type": "not_found", "message": f"no route for {path}"}},
-            sort_keys=True,
-        ).encode("utf-8")
-        return body, 404, "application/json"
 
     # ------------------------------------------------------------------ #
     # endpoints
     # ------------------------------------------------------------------ #
 
-    def _healthz(self):
+    def _healthz(self) -> Reply:
         healthy = self.state is ServerState.SERVING
         payload = {
             "status": "ok" if healthy else str(self.state),
@@ -613,57 +325,120 @@ class SolverServer:
             "uptime_s": round(self.uptime, 3),
             **self.queue.snapshot(),
         }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return body, (200 if healthy else 503), "application/json"
+        return json_reply(payload, 200 if healthy else 503)
 
-    def _metrics_endpoint(self):
+    async def _metrics_endpoint(self) -> Reply:
         # The thread backend reads the shared cache; the process backend
         # aggregates its workers' local caches — one schema either way.
         stats = self.pool.cache_stats()
-        payload = {
-            "server": {
-                "backend": self.config.backend,
-                "state": str(self.state),
-                "uptime_s": round(self.uptime, 3),
-                **self.queue.snapshot(),
-            },
-            "sessions": self.sessions.snapshot(),
-            "cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "size": stats.size,
-                "maxsize": stats.maxsize,
-                "hit_rate": stats.hit_rate,
-            },
-            **self.metrics.export(),
-        }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return body, 200, "application/json"
+        return json_reply(
+            {
+                "server": {
+                    "backend": self.config.backend,
+                    "state": str(self.state),
+                    "uptime_s": round(self.uptime, 3),
+                    **self.queue.snapshot(),
+                },
+                "sessions": self.sessions.snapshot(),
+                "cache": {
+                    "hits": stats.hits,
+                    "misses": stats.misses,
+                    "evictions": stats.evictions,
+                    "size": stats.size,
+                    "maxsize": stats.maxsize,
+                    "hit_rate": stats.hit_rate,
+                },
+                **self.metrics.export(),
+            }
+        )
 
-    async def _solve_endpoint(self, request: httpio.HttpRequest) -> ResponseEnvelope:
+    async def _route(self, request: HttpRequest, op: Optional[str]) -> Reply:
+        """``/solve`` (``op=None``) or ``/session/<op>``: one accounted request."""
         self.metrics.counter("server.requests").inc()
         try:
-            return await self._solve_inner(request)
+            if op is None:
+                envelope = await self._solve(request)
+            else:
+                envelope = await self._session(request, op)
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 — keep the accounting identity
             self.metrics.counter("server.internal").inc()
-            return ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_INTERNAL, message=f"{type(exc).__name__}: {exc}"
-                )
-            )
+            envelope = error_envelope(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
+        return envelope_reply(envelope)
 
-    async def _solve_inner(self, request: httpio.HttpRequest) -> ResponseEnvelope:
+    # ------------------------------------------------------------------ #
+    # admission
+    # ------------------------------------------------------------------ #
+
+    async def _admitted(
+        self,
+        deadline: float,
+        rid: Optional[str],
+        work: Callable[[float], Awaitable[ResponseEnvelope]],
+    ) -> ResponseEnvelope:
+        """Run ``work(queue_timer)`` holding an admission and a worker slot.
+
+        ``try_admit`` (typed ``overloaded``/``draining`` rejection) →
+        ``acquire_slot`` spending the deadline budget (typed ``timeout``)
+        → *work* → ``release_slot``. A cancellation anywhere past
+        admission is counted as ``server.cancelled``.
+        """
+        try:
+            self.queue.try_admit()
+        except OverloadedError as exc:
+            return error_envelope(ERROR_OVERLOADED, str(exc), request_id=rid)
+        except DrainingError as exc:
+            return error_envelope(ERROR_DRAINING, str(exc), request_id=rid)
+        queue_timer = time.monotonic()
+        try:
+            await self.queue.acquire_slot(deadline - time.monotonic())
+        except DeadlineExceededError as exc:
+            return self._timeout(str(exc), rid, _ms_since(queue_timer))
+        except asyncio.CancelledError:
+            self.metrics.counter("server.cancelled").inc()
+            raise
+        try:
+            return await work(queue_timer)
+        except asyncio.CancelledError:
+            # Shutdown cancelled us mid-solve: count it, then let the
+            # connection unwind with a typed ``cancelled`` envelope.
+            self.metrics.counter("server.cancelled").inc()
+            raise
+        finally:
+            self.queue.release_slot()
+
+    @staticmethod
+    def _timeout(
+        message: str, rid: Optional[str], queue_ms: float, solve_ms: float = 0.0
+    ) -> ResponseEnvelope:
+        return error_envelope(
+            ERROR_TIMEOUT,
+            message,
+            status="timeout",
+            queue_ms=queue_ms,
+            solve_ms=solve_ms,
+            request_id=rid,
+        )
+
+    def _completed(self, status: str, queue_ms: float, solve_ms: float) -> None:
+        self.metrics.counter("server.completed").inc()
+        self.metrics.counter(f"server.status.{status}").inc()
+        self.metrics.observe("server.queue_wait", queue_ms / 1000.0)
+        self.metrics.observe("server.solve_wall", solve_ms / 1000.0)
+
+    # ------------------------------------------------------------------ #
+    # /solve
+    # ------------------------------------------------------------------ #
+
+    async def _solve(self, request: HttpRequest) -> ResponseEnvelope:
         # 1. request envelope
         try:
             solve_request = SolveRequest.from_body(request.body, request.content_type)
         except ValueError as exc:
             self.metrics.counter("server.rejected.bad_request").inc()
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_BAD_REQUEST, message=str(exc))
-            )
+            return error_envelope(ERROR_BAD_REQUEST, str(exc))
+        rid = solve_request.request_id
 
         # 2. SMT-LIB parse — malformed scripts get located parse envelopes,
         #    never a crashed connection.
@@ -672,8 +447,7 @@ class SolverServer:
         except (ParseError, SExprError) as exc:
             self.metrics.counter("server.rejected.parse").inc()
             return ResponseEnvelope.failure(
-                locate_parse_error(solve_request.script, exc),
-                request_id=solve_request.request_id,
+                locate_parse_error(solve_request.script, exc), request_id=rid
             )
 
         deadline_ms = (
@@ -683,107 +457,49 @@ class SolverServer:
         )
         deadline = time.monotonic() + deadline_ms / 1000.0
 
-        # 3. admission (bounded queue; explicit backpressure)
-        try:
-            self.queue.try_admit()
-        except OverloadedError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_OVERLOADED, message=str(exc)),
-                request_id=solve_request.request_id,
-            )
-        except DrainingError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_DRAINING, message=str(exc)),
-                request_id=solve_request.request_id,
-            )
-
-        # 4. wait for a worker slot, spending the deadline budget
-        queue_timer = time.monotonic()
-        try:
-            await self.queue.acquire_slot(deadline - time.monotonic())
-        except DeadlineExceededError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_TIMEOUT, message=str(exc)),
-                status="timeout",
-                queue_ms=(time.monotonic() - queue_timer) * 1000.0,
-                request_id=solve_request.request_id,
-            )
-        except asyncio.CancelledError:
-            self.metrics.counter("server.cancelled").inc()
-            raise
-        queue_ms = (time.monotonic() - queue_timer) * 1000.0
-
-        # 5. solve on the worker pool — scripts carrying assert-soft
-        #    commands route to the weighted-MaxSMT optimize path instead.
-        solve_timer = time.monotonic()
-        try:
-            if script.soft_assertions:
-                outcome = await self.pool.optimize(
-                    script.assertions,
-                    script.soft_assertions,
-                    remaining=deadline - time.monotonic(),
-                )
-            else:
-                outcome = await self.pool.solve(
-                    script.assertions, remaining=deadline - time.monotonic()
-                )
-        except DeadlineExceededError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_TIMEOUT, message=str(exc)),
-                status="timeout",
+        async def work(queue_timer: float) -> ResponseEnvelope:
+            # 4. solve on the worker pool — scripts carrying assert-soft
+            #    commands route to the weighted-MaxSMT optimize path.
+            queue_ms = _ms_since(queue_timer)
+            solve_timer = time.monotonic()
+            try:
+                if script.soft_assertions:
+                    outcome = await self.pool.optimize(
+                        script.assertions,
+                        script.soft_assertions,
+                        remaining=deadline - time.monotonic(),
+                    )
+                else:
+                    outcome = await self.pool.solve(
+                        script.assertions, remaining=deadline - time.monotonic()
+                    )
+            except DeadlineExceededError as exc:
+                return self._timeout(str(exc), rid, queue_ms, _ms_since(solve_timer))
+            solve_ms = _ms_since(solve_timer)
+            self._completed(outcome.status, queue_ms, solve_ms)
+            if outcome.opt_status:
+                self.metrics.counter(f"server.opt.{outcome.opt_status}").inc()
+            return ResponseEnvelope.success(
+                outcome.status,
+                outcome.model,
+                reason=outcome.result.reason,
+                cache_hit=outcome.cache_hit,
                 queue_ms=queue_ms,
-                solve_ms=(time.monotonic() - solve_timer) * 1000.0,
-                request_id=solve_request.request_id,
+                solve_ms=solve_ms,
+                request_id=rid,
+                opt_status=outcome.opt_status,
+                objective=outcome.objective,
+                lower_bound=outcome.lower_bound,
+                upper_bound=outcome.upper_bound,
             )
-        except asyncio.CancelledError:
-            # Shutdown cancelled us mid-solve: typed envelope, then let the
-            # connection unwind.
-            self.metrics.counter("server.cancelled").inc()
-            raise
-        finally:
-            self.queue.release_slot()
-        solve_ms = (time.monotonic() - solve_timer) * 1000.0
 
-        self.metrics.counter("server.completed").inc()
-        self.metrics.counter(f"server.status.{outcome.status}").inc()
-        if outcome.opt_status:
-            self.metrics.counter(f"server.opt.{outcome.opt_status}").inc()
-        self.metrics.observe("server.queue_wait", queue_ms / 1000.0)
-        self.metrics.observe("server.solve_wall", solve_ms / 1000.0)
-        return ResponseEnvelope.success(
-            outcome.status,
-            outcome.model,
-            reason=outcome.result.reason,
-            cache_hit=outcome.cache_hit,
-            queue_ms=queue_ms,
-            solve_ms=solve_ms,
-            request_id=solve_request.request_id,
-            opt_status=outcome.opt_status,
-            objective=outcome.objective,
-            lower_bound=outcome.lower_bound,
-            upper_bound=outcome.upper_bound,
-        )
-
+        # 3. admission (bounded queue; explicit backpressure) and a worker
+        #    slot, spending the deadline budget
+        return await self._admitted(deadline, rid, work)
 
     # ------------------------------------------------------------------ #
     # sticky sessions (/session/*)
     # ------------------------------------------------------------------ #
-
-    async def _session_endpoint(
-        self, request: httpio.HttpRequest, op: str
-    ) -> ResponseEnvelope:
-        self.metrics.counter("server.requests").inc()
-        try:
-            return await self._session_inner(request, op)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 — keep the accounting identity
-            self.metrics.counter("server.internal").inc()
-            return ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_INTERNAL, message=f"{type(exc).__name__}: {exc}"
-                )
-            )
 
     def _session_reject(
         self, error_type: str, message: str, *, request_id: Optional[str] = None
@@ -794,12 +510,10 @@ class SolverServer:
             ERROR_OVERLOADED: "server.rejected.overloaded",
         }[error_type]
         self.metrics.counter(counter).inc()
-        return ResponseEnvelope.failure(
-            ErrorInfo(type=error_type, message=message), request_id=request_id
-        )
+        return error_envelope(error_type, message, request_id=request_id)
 
-    async def _session_inner(
-        self, request: httpio.HttpRequest, op: str
+    async def _session(
+        self, request: HttpRequest, op: str
     ) -> ResponseEnvelope:
         try:
             req = SessionRequest.from_body(request.body, request.content_type)
@@ -904,33 +618,8 @@ class SolverServer:
         )
         deadline = time.monotonic() + deadline_ms / 1000.0
 
-        try:
-            self.queue.try_admit()
-        except OverloadedError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_OVERLOADED, message=str(exc)), request_id=rid
-            )
-        except DrainingError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_DRAINING, message=str(exc)), request_id=rid
-            )
-
-        queue_timer = time.monotonic()
-        try:
-            await self.queue.acquire_slot(deadline - time.monotonic())
-        except DeadlineExceededError as exc:
-            return ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_TIMEOUT, message=str(exc)),
-                status="timeout",
-                queue_ms=(time.monotonic() - queue_timer) * 1000.0,
-                request_id=rid,
-            )
-        except asyncio.CancelledError:
-            self.metrics.counter("server.cancelled").inc()
-            raise
-
-        solve_timer = time.monotonic()
-        try:
+        async def work(queue_timer: float) -> ResponseEnvelope:
+            solve_timer = time.monotonic()
             # Serialize against mutations and concurrent checks on the same
             # session; bound the lock wait by the remaining deadline.
             try:
@@ -940,16 +629,12 @@ class SolverServer:
             except asyncio.TimeoutError:
                 self.metrics.counter("server.timeout").inc()
                 self.metrics.counter("server.timeout.queued").inc()
-                return ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_TIMEOUT,
-                        message="deadline exceeded waiting on the session lock",
-                    ),
-                    status="timeout",
-                    queue_ms=(time.monotonic() - queue_timer) * 1000.0,
-                    request_id=rid,
+                return self._timeout(
+                    "deadline exceeded waiting on the session lock",
+                    rid,
+                    _ms_since(queue_timer),
                 )
-            queue_ms = (time.monotonic() - queue_timer) * 1000.0
+            queue_ms = _ms_since(queue_timer)
             session = managed.session
             hits_before = session.stats.memo_hits + session.stats.warm_hits
             loop = asyncio.get_running_loop()
@@ -966,42 +651,27 @@ class SolverServer:
             except asyncio.TimeoutError:
                 self.metrics.counter("server.timeout").inc()
                 self.metrics.counter("server.timeout.solving").inc()
-                return ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_TIMEOUT,
-                        message=(
-                            f"deadline exceeded after {deadline_ms:.0f} ms "
-                            "(session check still completing in background)"
-                        ),
-                    ),
-                    status="timeout",
-                    queue_ms=queue_ms,
-                    solve_ms=(time.monotonic() - solve_timer) * 1000.0,
-                    request_id=rid,
+                return self._timeout(
+                    f"deadline exceeded after {deadline_ms:.0f} ms "
+                    "(session check still completing in background)",
+                    rid,
+                    queue_ms,
+                    _ms_since(solve_timer),
                 )
-            except asyncio.CancelledError:
-                self.metrics.counter("server.cancelled").inc()
-                raise
-        finally:
-            self.queue.release_slot()
+            solve_ms = _ms_since(solve_timer)
+            cache_hit = session.stats.memo_hits + session.stats.warm_hits > hits_before
+            self._completed(result.status, queue_ms, solve_ms)
+            return ResponseEnvelope.success(
+                result.status,
+                result.model,
+                reason=result.reason or f"depth={session.depth}",
+                cache_hit=cache_hit,
+                queue_ms=queue_ms,
+                solve_ms=solve_ms,
+                request_id=rid,
+            )
 
-        solve_ms = (time.monotonic() - solve_timer) * 1000.0
-        cache_hit = (
-            session.stats.memo_hits + session.stats.warm_hits > hits_before
-        )
-        self.metrics.counter("server.completed").inc()
-        self.metrics.counter(f"server.status.{result.status}").inc()
-        self.metrics.observe("server.queue_wait", queue_ms / 1000.0)
-        self.metrics.observe("server.solve_wall", solve_ms / 1000.0)
-        return ResponseEnvelope.success(
-            result.status,
-            result.model,
-            reason=result.reason or f"depth={session.depth}",
-            cache_hit=cache_hit,
-            queue_ms=queue_ms,
-            solve_ms=solve_ms,
-            request_id=rid,
-        )
+        return await self._admitted(deadline, rid, work)
 
     def _release_session(self, managed) -> None:
         managed.touch()
@@ -1014,7 +684,7 @@ class SolverServer:
 # --------------------------------------------------------------------- #
 
 
-class BackgroundServer:
+class BackgroundServer(BackgroundService):
     """Run a :class:`SolverServer` on a daemon thread with its own loop.
 
     The context-manager form is what the test-suite and the load generator
@@ -1034,85 +704,13 @@ class BackgroundServer:
         metrics: Optional[MetricsRegistry] = None,
         cache: Optional[CompileCache] = None,
     ) -> None:
-        self.config = config if config is not None else ServerConfig(port=0)
-        self._metrics = metrics
-        self._cache = cache
-        self.server: Optional[SolverServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._port: Optional[int] = None
-
-    # -------------------------------------------------------------- #
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        if self._port is None:
-            raise RuntimeError("server not started")
-        return self._port
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        if self.server is None:
-            raise RuntimeError("server not started")
-        return self.server.metrics
-
-    def start(self) -> "BackgroundServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True
+        config = config if config is not None else ServerConfig(port=0)
+        super().__init__(
+            config,
+            lambda: SolverServer(config, metrics=metrics, cache=cache),
+            "server",
         )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("server failed to start within 30 s")
-        if self._startup_error is not None:
-            raise RuntimeError("server failed to start") from self._startup_error
-        return self
 
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is None or self.server is None:
-            return
-        if not self._loop.is_closed():
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(), self._loop
-            )
-            try:
-                future.result(timeout=timeout)
-            except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    # -------------------------------------------------------------- #
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.server = SolverServer(
-            self.config, metrics=self._metrics, cache=self._cache
-        )
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._port = self.server.port
-        self._ready.set()
-        await self.server.serve_forever()
+    @property
+    def server(self) -> Optional[SolverServer]:
+        return self.service

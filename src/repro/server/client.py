@@ -15,7 +15,6 @@ not exceptions, because a load test must count them.
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 from dataclasses import dataclass
@@ -330,39 +329,24 @@ class AsyncSolverClient:
         content_type: str = "text/plain",
     ) -> Tuple[int, bytes]:
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port), timeout=self.timeout
+            return await httpio.round_trip(
+                self.host,
+                self.port,
+                method,
+                path,
+                body,
+                content_type=content_type,
+                connect_timeout=self.timeout,
+                timeout=self.timeout,
             )
-        except (OSError, asyncio.TimeoutError) as exc:
+        except httpio.ConnectFailed as exc:
             raise ServerConnectionError(
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from exc
-        try:
-            writer.write(
-                httpio.render_request(
-                    method,
-                    path,
-                    body,
-                    host=f"{self.host}:{self.port}",
-                    content_type=content_type,
-                    close=True,
-                )
-            )
-            await writer.drain()
-            status, _headers, payload = await asyncio.wait_for(
-                httpio.read_response(reader), timeout=self.timeout
-            )
-            return status, payload
-        except (OSError, asyncio.TimeoutError, httpio.ProtocolError) as exc:
+        except httpio.RequestFailed as exc:
             raise ServerConnectionError(
                 f"{method} {path} to {self.host}:{self.port} failed: {exc}"
             ) from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):  # pragma: no cover
-                pass
 
     async def solve(
         self,

@@ -77,6 +77,7 @@ __all__ = [
     "ResponseEnvelope",
     "SessionRequest",
     "SolveRequest",
+    "error_envelope",
     "http_status_for",
     "locate_parse_error",
     "offset_to_line_col",
@@ -398,6 +399,13 @@ class ResponseEnvelope:
             lower_bound=bound(payload.get("lower_bound")),
             upper_bound=bound(payload.get("upper_bound")),
         )
+
+
+def error_envelope(error_type: str, message: str, **kwargs: Any) -> ResponseEnvelope:
+    """A failure envelope with an unlocated error of *error_type*."""
+    return ResponseEnvelope.failure(
+        ErrorInfo(type=error_type, message=message), **kwargs
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -41,27 +41,36 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import enum
 import hashlib
 import json
 import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.server import httpio
+from repro.server.httpio import (
+    BackgroundService,
+    ConnectFailed,
+    HttpRequest,
+    HttpService,
+    Reply,
+    RequestFailed,
+    ServerState,
+    envelope_reply,
+    json_reply,
+    round_trip,
+    serve_until_signalled,
+)
 from repro.server.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_DRAINING,
     ERROR_UPSTREAM,
-    ErrorInfo,
-    ResponseEnvelope,
     SolveRequest,
+    error_envelope,
 )
 from repro.service.cache import compile_cache_key
 from repro.service.metrics import MetricsRegistry
@@ -182,14 +191,6 @@ class RouterConfig:
             raise ValueError(f"idle_timeout must be positive, got {self.idle_timeout}")
 
 
-class _ShardDown(RuntimeError):
-    """Connect-phase failure: safe to fail over to the next shard."""
-
-
-class _ShardMidRequest(RuntimeError):
-    """The shard accepted the request and then failed: no retry."""
-
-
 @dataclass
 class ShardState:
     """Mutable health record of one shard."""
@@ -283,93 +284,80 @@ def aggregate_metrics(shard_payloads: Sequence[Dict[str, Any]]) -> Dict[str, Any
 # --------------------------------------------------------------------- #
 
 
-class RouterState(str, enum.Enum):
-    CREATED = "created"
-    SERVING = "serving"
-    DRAINING = "draining"
-    STOPPED = "stopped"
-
-    __str__ = str.__str__
-
-
-class ShardRouter:
+class ShardRouter(HttpService):
     """Asyncio front process sharding ``/solve`` by formula content-hash."""
 
+    tier = "router"
+    crash_type = ERROR_UPSTREAM
+    crash_prefix = "router dispatch failed: "
+
     def __init__(self, config: RouterConfig) -> None:
-        self.config = config
-        self.state = RouterState.CREATED
+        super().__init__(config)
         self.metrics = MetricsRegistry()
         self.shards: List[ShardState] = [
             ShardState(spec=spec) for spec in config.shards
         ]
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[asyncio.Task] = set()
-        self._active_requests: Set[asyncio.Task] = set()
         self._prober: Optional[asyncio.Task] = None
-        self._stopped = asyncio.Event()
-        self._started_at = 0.0
-
-    # -------------------------------------------------------------- #
-    # lifecycle
-    # -------------------------------------------------------------- #
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self.config.port
-
-    @property
-    def uptime(self) -> float:
-        if not self._started_at:
-            return 0.0
-        return time.monotonic() - self._started_at
 
     async def start(self) -> None:
-        if self.state is not RouterState.CREATED:
-            raise RuntimeError(f"cannot start from state {self.state}")
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
+        await super().start()
         self._prober = asyncio.create_task(self._probe_loop())
-        self._started_at = time.monotonic()
-        self.state = RouterState.SERVING
 
-    async def serve_forever(self) -> None:
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight proxies, stop.
+    async def _drain(self) -> bool:
+        """In-flight proxied requests get ``drain_timeout`` to finish.
 
         Shard processes are *not* touched here — drain propagation to a
         supervised fleet is the :class:`ShardFleet`'s job (the router may
         be attached to shards it does not own).
         """
-        if self.state in (RouterState.DRAINING, RouterState.STOPPED):
-            await self._stopped.wait()
-            return
-        self.state = RouterState.DRAINING
-        if self._server is not None:
-            self._server.close()
         if self._prober is not None:
             self._prober.cancel()
-        # In-flight proxied requests get the drain timeout to finish.
         deadline = time.monotonic() + self.config.drain_timeout
         while self._active_requests and time.monotonic() < deadline:
             await asyncio.wait(
                 list(self._active_requests),
                 timeout=max(0.05, deadline - time.monotonic()),
             )
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.wait(list(self._connections), timeout=5.0)
-        self.state = RouterState.STOPPED
-        self._stopped.set()
+        return not self._active_requests
+
+    # -------------------------------------------------------------- #
+    # upstream transport
+    # -------------------------------------------------------------- #
+
+    async def _get(self, spec: ShardSpec, path: str) -> Tuple[int, bytes]:
+        """One probe-bounded GET; raises ConnectFailed / RequestFailed."""
+        return await round_trip(
+            spec.host,
+            spec.port,
+            "GET",
+            path,
+            connect_timeout=self.config.connect_timeout,
+            timeout=self.config.probe_timeout,
+        )
+
+    async def _proxy(
+        self, index: int, path: str, body: bytes, content_type: str, timeout: float
+    ) -> Reply:
+        """POST *body* to shard *index* → ``(payload, status)``.
+
+        :class:`ConnectFailed` means the request was never sent (safe to
+        fail over); :class:`RequestFailed` means the shard accepted it and
+        then failed (no retry — it may be solving it).
+        """
+        spec = self.shards[index].spec
+        status, payload = await round_trip(
+            spec.host,
+            spec.port,
+            "POST",
+            path,
+            body,
+            content_type=content_type,
+            connect_timeout=self.config.connect_timeout,
+            timeout=timeout,
+        )
+        self.metrics.counter("router.forwarded").inc()
+        self.metrics.counter(f"router.shard.{index}.forwarded").inc()
+        return payload, status
 
     # -------------------------------------------------------------- #
     # health probing
@@ -385,100 +373,15 @@ class ShardRouter:
 
     async def _probe_shard(self, state: ShardState) -> None:
         try:
-            status, _headers, _body = await self._raw_request(
-                state.spec, "GET", "/healthz", b"", timeout=self.config.probe_timeout
-            )
-        except (OSError, asyncio.TimeoutError, httpio.ProtocolError) as exc:
-            state.mark_down(f"{type(exc).__name__}: {exc}")
+            status, _body = await self._get(state.spec, "/healthz")
+        except (ConnectFailed, RequestFailed) as exc:
+            state.mark_down(str(exc))
             return
         if status == 200:
             state.mark_up()
         else:
             # 503 = shard draining: stop routing new work to it.
             state.mark_down(f"healthz answered {status}")
-
-    # -------------------------------------------------------------- #
-    # upstream transport
-    # -------------------------------------------------------------- #
-
-    async def _raw_request(
-        self,
-        spec: ShardSpec,
-        method: str,
-        path: str,
-        body: bytes,
-        *,
-        content_type: str = "application/json",
-        timeout: Optional[float] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One upstream round trip; connect errors raise OSError family."""
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(spec.host, spec.port),
-            timeout=self.config.connect_timeout,
-        )
-        try:
-            writer.write(
-                httpio.render_request(
-                    method,
-                    path,
-                    body,
-                    host=str(spec),
-                    content_type=content_type,
-                    close=True,
-                )
-            )
-            await writer.drain()
-            return await asyncio.wait_for(
-                httpio.read_response(reader),
-                timeout=timeout if timeout is not None else self.config.upstream_timeout,
-            )
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):  # pragma: no cover
-                pass
-
-    async def _forward_solve(
-        self,
-        spec: ShardSpec,
-        body: bytes,
-        content_type: str,
-        timeout: float,
-        path: str = "/solve",
-    ) -> Tuple[int, bytes]:
-        """Proxy one POST body to *path*; typed exceptions split the retry rule."""
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(spec.host, spec.port),
-                timeout=self.config.connect_timeout,
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise _ShardDown(f"{spec}: {type(exc).__name__}: {exc}") from exc
-        try:
-            writer.write(
-                httpio.render_request(
-                    "POST",
-                    path,
-                    body,
-                    host=str(spec),
-                    content_type=content_type,
-                    close=True,
-                )
-            )
-            await writer.drain()
-            status, _headers, payload = await asyncio.wait_for(
-                httpio.read_response(reader), timeout=timeout
-            )
-            return status, payload
-        except (OSError, asyncio.TimeoutError, httpio.ProtocolError) as exc:
-            raise _ShardMidRequest(f"{spec}: {type(exc).__name__}: {exc}") from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):  # pragma: no cover
-                pass
 
     # -------------------------------------------------------------- #
     # routing
@@ -494,25 +397,29 @@ class ShardRouter:
         order = healthy if healthy else [primary]
         return order[: self.config.failover_attempts]
 
-    async def _route_solve(self, request: httpio.HttpRequest) -> Tuple[bytes, int, str]:
+    async def _route(self, request: HttpRequest, op: Optional[str]) -> Reply:
+        """``/solve`` (``op=None``) or ``/session/<op>``: one counted request."""
         self.metrics.counter("router.requests").inc()
-        if self.state is not RouterState.SERVING:
+        if self.state is not ServerState.SERVING:
             self.metrics.counter("router.rejected.draining").inc()
-            envelope = ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_DRAINING,
-                    message="router is draining; not accepting new requests",
+            return envelope_reply(
+                error_envelope(
+                    ERROR_DRAINING, "router is draining; not accepting new requests"
                 )
             )
-            return envelope.to_json().encode("utf-8"), envelope.http_status, "application/json"
+        if op is None:
+            return await self._route_solve(request)
+        return await self._route_session(request, op)
+
+    def _bad_request(self, message: str) -> Reply:
+        self.metrics.counter("router.rejected.bad_request").inc()
+        return envelope_reply(error_envelope(ERROR_BAD_REQUEST, message))
+
+    async def _route_solve(self, request: HttpRequest) -> Reply:
         try:
             solve_request = SolveRequest.from_body(request.body, request.content_type)
         except ValueError as exc:
-            self.metrics.counter("router.rejected.bad_request").inc()
-            envelope = ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_BAD_REQUEST, message=str(exc))
-            )
-            return envelope.to_json().encode("utf-8"), envelope.http_status, "application/json"
+            return self._bad_request(str(exc))
 
         key = shard_key(solve_request.script)
         primary = shard_index(key, len(self.shards))
@@ -528,46 +435,34 @@ class ShardRouter:
             if attempt:
                 self.metrics.counter("router.failover").inc()
             try:
-                status, payload = await self._forward_solve(
-                    state.spec, request.body, request.content_type, timeout
+                return await self._proxy(
+                    index, "/solve", request.body, request.content_type, timeout
                 )
-            except _ShardDown as exc:
-                state.mark_down(str(exc))
-                last_error = str(exc)
-                continue
-            except _ShardMidRequest as exc:
-                state.mark_down(str(exc))
+            except ConnectFailed as exc:
+                last_error = f"{state.spec}: {exc}"
+                state.mark_down(last_error)
+            except RequestFailed as exc:
+                state.mark_down(f"{state.spec}: {exc}")
                 self.metrics.counter("router.upstream_errors").inc()
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_UPSTREAM,
-                        message=f"shard {state.spec} failed mid-request: {exc}",
-                    ),
-                    request_id=solve_request.request_id,
+                return envelope_reply(
+                    error_envelope(
+                        ERROR_UPSTREAM,
+                        f"shard {state.spec} failed mid-request: {exc}",
+                        request_id=solve_request.request_id,
+                    )
                 )
-                return (
-                    envelope.to_json().encode("utf-8"),
-                    envelope.http_status,
-                    "application/json",
-                )
-            self.metrics.counter("router.forwarded").inc()
-            self.metrics.counter(f"router.shard.{index}.forwarded").inc()
-            return payload, status, "application/json"
 
         self.metrics.counter("router.upstream_errors").inc()
-        envelope = ResponseEnvelope.failure(
-            ErrorInfo(
-                type=ERROR_UPSTREAM,
-                message=f"no shard reachable for key {key[:16]} "
+        return envelope_reply(
+            error_envelope(
+                ERROR_UPSTREAM,
+                f"no shard reachable for key {key[:16]} "
                 f"(primary shard_{primary}): {last_error}",
-            ),
-            request_id=solve_request.request_id,
+                request_id=solve_request.request_id,
+            )
         )
-        return envelope.to_json().encode("utf-8"), envelope.http_status, "application/json"
 
-    async def _route_session(
-        self, request: httpio.HttpRequest, op: str
-    ) -> Tuple[bytes, int, str]:
+    async def _route_session(self, request: HttpRequest, op: str) -> Reply:
         """Sticky routing for ``/session/*``: the id pins the shard.
 
         Placement hashes the session id (injected here on an id-less
@@ -576,17 +471,6 @@ class ShardRouter:
         one shard, so a down shard is an ``upstream`` error — replaying
         the op elsewhere would silently run against a fresh empty session.
         """
-        self.metrics.counter("router.requests").inc()
-        if self.state is not RouterState.SERVING:
-            self.metrics.counter("router.rejected.draining").inc()
-            envelope = ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_DRAINING,
-                    message="router is draining; not accepting new requests",
-                )
-            )
-            return envelope.to_json().encode("utf-8"), envelope.http_status, "application/json"
-
         text = request.body.decode("utf-8", errors="replace")
         try:
             payload = json.loads(text) if text.strip() else {}
@@ -609,11 +493,7 @@ class ShardRouter:
             else:
                 bad = f"/session/{op} needs a 'session' id"
         if bad:
-            self.metrics.counter("router.rejected.bad_request").inc()
-            envelope = ResponseEnvelope.failure(
-                ErrorInfo(type=ERROR_BAD_REQUEST, message=bad)
-            )
-            return envelope.to_json().encode("utf-8"), envelope.http_status, "application/json"
+            return self._bad_request(bad)
 
         body = json.dumps(payload).encode("utf-8")
         index = shard_index(session_shard_key(session_id), len(self.shards))
@@ -623,42 +503,27 @@ class ShardRouter:
         if isinstance(deadline_ms, (int, float)) and deadline_ms > 0:
             timeout = min(timeout, float(deadline_ms) / 1000.0 + 15.0)
         try:
-            status, reply = await self._forward_solve(
-                state.spec,
-                body,
-                "application/json",
-                timeout,
-                path=f"/session/{op}",
+            return await self._proxy(
+                index, f"/session/{op}", body, "application/json", timeout
             )
-        except (_ShardDown, _ShardMidRequest) as exc:
-            state.mark_down(str(exc))
+        except (ConnectFailed, RequestFailed) as exc:
+            state.mark_down(f"{state.spec}: {exc}")
             self.metrics.counter("router.upstream_errors").inc()
-            envelope = ResponseEnvelope.failure(
-                ErrorInfo(
-                    type=ERROR_UPSTREAM,
-                    message=(
-                        f"session shard {state.spec} (shard_{index}) "
-                        f"unavailable: {exc}"
-                    ),
-                ),
-                request_id=session_id,
+            return envelope_reply(
+                error_envelope(
+                    ERROR_UPSTREAM,
+                    f"session shard {state.spec} (shard_{index}) unavailable: {exc}",
+                    request_id=session_id,
+                )
             )
-            return (
-                envelope.to_json().encode("utf-8"),
-                envelope.http_status,
-                "application/json",
-            )
-        self.metrics.counter("router.forwarded").inc()
-        self.metrics.counter(f"router.shard.{index}.forwarded").inc()
-        return reply, status, "application/json"
 
     # -------------------------------------------------------------- #
     # endpoints
     # -------------------------------------------------------------- #
 
-    def _healthz(self) -> Tuple[bytes, int, str]:
+    def _healthz(self) -> Reply:
         healthy_shards = sum(1 for s in self.shards if s.healthy)
-        serving = self.state is RouterState.SERVING and healthy_shards > 0
+        serving = self.state is ServerState.SERVING and healthy_shards > 0
         payload = {
             "status": "ok" if serving else str(self.state),
             "state": str(self.state),
@@ -676,23 +541,16 @@ class ShardRouter:
             "healthy_shards": healthy_shards,
             "total_shards": len(self.shards),
         }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return body, (200 if serving else 503), "application/json"
+        return json_reply(payload, 200 if serving else 503)
 
-    async def _metrics_endpoint(self) -> Tuple[bytes, int, str]:
+    async def _metrics_endpoint(self) -> Reply:
         async def fetch(state: ShardState):
             try:
-                status, _headers, payload = await self._raw_request(
-                    state.spec,
-                    "GET",
-                    "/metrics",
-                    b"",
-                    timeout=self.config.probe_timeout,
-                )
+                status, payload = await self._get(state.spec, "/metrics")
                 if status != 200:
                     return {"error": f"/metrics answered {status}"}
                 return json.loads(payload.decode("utf-8"))
-            except (OSError, asyncio.TimeoutError, httpio.ProtocolError, ValueError) as exc:
+            except (ConnectFailed, RequestFailed, ValueError) as exc:
                 return {"error": f"{type(exc).__name__}: {exc}"}
 
         shard_payloads = await asyncio.gather(*(fetch(s) for s in self.shards))
@@ -712,139 +570,7 @@ class ShardRouter:
             },
             **rollup,
         }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return body, 200, "application/json"
-
-    async def _dispatch(self, request: httpio.HttpRequest) -> Tuple[bytes, int, str]:
-        path = request.path
-        if path == "/healthz" and request.method == "GET":
-            return self._healthz()
-        if path == "/metrics" and request.method == "GET":
-            return await self._metrics_endpoint()
-        if path == "/solve":
-            if request.method != "POST":
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(
-                        type=ERROR_BAD_REQUEST,
-                        message=f"/solve requires POST, got {request.method}",
-                    )
-                )
-                return envelope.to_json().encode("utf-8"), 405, "application/json"
-            return await self._route_solve(request)
-        if path.startswith("/session/"):
-            op = path[len("/session/"):]
-            if op in ("open", "assert", "push", "pop", "check", "close"):
-                if request.method != "POST":
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_BAD_REQUEST,
-                            message=f"{path} requires POST, got {request.method}",
-                        )
-                    )
-                    return envelope.to_json().encode("utf-8"), 405, "application/json"
-                return await self._route_session(request, op)
-        body = json.dumps(
-            {"error": {"type": "not_found", "message": f"no route for {path}"}},
-            sort_keys=True,
-        ).encode("utf-8")
-        return body, 404, "application/json"
-
-    # -------------------------------------------------------------- #
-    # connection handling (same discipline as SolverServer)
-    # -------------------------------------------------------------- #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-                self._active_requests.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        while True:
-            try:
-                request = await asyncio.wait_for(
-                    httpio.read_request(reader, self.config.max_request_bytes),
-                    timeout=self.config.idle_timeout,
-                )
-            except asyncio.TimeoutError:
-                return
-            except httpio.RequestTooLarge as exc:
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(type="too_large", message=str(exc))
-                )
-                writer.write(
-                    httpio.render_response(
-                        envelope.http_status,
-                        envelope.to_json().encode("utf-8"),
-                        close=True,
-                    )
-                )
-                await writer.drain()
-                return
-            except httpio.ProtocolError as exc:
-                envelope = ResponseEnvelope.failure(
-                    ErrorInfo(type=ERROR_BAD_REQUEST, message=str(exc))
-                )
-                writer.write(
-                    httpio.render_response(
-                        envelope.http_status,
-                        envelope.to_json().encode("utf-8"),
-                        close=True,
-                    )
-                )
-                await writer.drain()
-                return
-            if request is None:
-                return
-            keep_alive = request.keep_alive
-            if task is not None:
-                self._active_requests.add(task)
-            try:
-                try:
-                    body, status, content_type = await self._dispatch(request)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 — last-resort boundary
-                    envelope = ResponseEnvelope.failure(
-                        ErrorInfo(
-                            type=ERROR_UPSTREAM,
-                            message=f"router dispatch failed: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    body = envelope.to_json().encode("utf-8")
-                    status = envelope.http_status
-                    content_type = "application/json"
-                writer.write(
-                    httpio.render_response(
-                        status, body, content_type=content_type, close=not keep_alive
-                    )
-                )
-                await writer.drain()
-            finally:
-                if task is not None:
-                    self._active_requests.discard(task)
-            if not keep_alive:
-                return
+        return json_reply(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -852,7 +578,7 @@ class ShardRouter:
 # --------------------------------------------------------------------- #
 
 
-class BackgroundRouter:
+class BackgroundRouter(BackgroundService):
     """Run a :class:`ShardRouter` on a daemon thread with its own loop.
 
     The mirror image of :class:`~repro.server.app.BackgroundServer`::
@@ -862,74 +588,11 @@ class BackgroundRouter:
     """
 
     def __init__(self, config: RouterConfig) -> None:
-        self.config = config
-        self.router: Optional[ShardRouter] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._port: Optional[int] = None
+        super().__init__(config, lambda: ShardRouter(config), "router")
 
     @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        if self._port is None:
-            raise RuntimeError("router not started")
-        return self._port
-
-    def start(self) -> "BackgroundRouter":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("router failed to start within 30 s")
-        if self._startup_error is not None:
-            raise RuntimeError("router failed to start") from self._startup_error
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is None or self.router is None:
-            return
-        if not self._loop.is_closed():
-            future = asyncio.run_coroutine_threadsafe(
-                self.router.shutdown(), self._loop
-            )
-            try:
-                future.result(timeout=timeout)
-            except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "BackgroundRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.router = ShardRouter(self.config)
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.router.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._port = self.router.port
-        self._ready.set()
-        await self.router.serve_forever()
+    def router(self) -> Optional[ShardRouter]:
+        return self.service
 
 
 # --------------------------------------------------------------------- #
@@ -1008,25 +671,18 @@ class ShardFleet:
             for index in list(pending):
                 spec = self.specs[index]
                 try:
-                    reader, writer = await asyncio.wait_for(
-                        asyncio.open_connection(spec.host, spec.port), timeout=1.0
+                    status, _body = await round_trip(
+                        spec.host,
+                        spec.port,
+                        "GET",
+                        "/healthz",
+                        connect_timeout=1.0,
+                        timeout=2.0,
                     )
-                except (OSError, asyncio.TimeoutError):
+                except (ConnectFailed, RequestFailed):
                     continue
-                try:
-                    writer.write(
-                        httpio.render_request("GET", "/healthz", host=str(spec), close=True)
-                    )
-                    await writer.drain()
-                    status, _h, _b = await asyncio.wait_for(
-                        httpio.read_response(reader), timeout=2.0
-                    )
-                    if status == 200:
-                        pending.discard(index)
-                except (OSError, asyncio.TimeoutError, httpio.ProtocolError):
-                    pass
-                finally:
-                    writer.close()
+                if status == 200:
+                    pending.discard(index)
             if pending:
                 await asyncio.sleep(0.2)
 
@@ -1168,30 +824,19 @@ async def _run(args: argparse.Namespace) -> None:
     )
     router = ShardRouter(config)
     await router.start()
-    loop = asyncio.get_running_loop()
-
-    def _request_shutdown(signame: str) -> None:
-        print(f"[repro.router] {signame} received — draining...", flush=True)
-        asyncio.ensure_future(router.shutdown())
-
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, _request_shutdown, sig.name)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
-
-    print(
+    supervisor = asyncio.create_task(fleet.supervise()) if fleet else None
+    await serve_until_signalled(
+        router,
         f"[repro.router] routing on {router.host}:{router.port} over "
         f"{len(specs)} shard(s) (failover={config.failover_attempts})",
-        flush=True,
     )
-    supervisor = asyncio.create_task(fleet.supervise()) if fleet else None
-    await router.serve_forever()
     if supervisor is not None:
         supervisor.cancel()
     if fleet is not None:
         # Drain propagation: the shards get their own graceful SIGTERM drain.
-        await loop.run_in_executor(None, fleet.shutdown, args.drain_timeout + 5.0)
+        await asyncio.get_running_loop().run_in_executor(
+            None, fleet.shutdown, args.drain_timeout + 5.0
+        )
     print("[repro.router] drained and stopped", flush=True)
 
 
