@@ -248,8 +248,6 @@ def run_sharded(args, requests: int, clients: int, scripts: List[str]):
             port=0,
             workers=args.workers,
             backend=args.backend,
-            batch_window_ms=args.batch_window_ms,
-            batch_max=args.batch_max,
             queue_limit=args.queue_limit,
             deadline_ms=args.deadline_ms,
             drain_timeout=10.0,
@@ -323,20 +321,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "long-lived worker processes",
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="micro-batching window for the thread backend: the server "
-        "fuses concurrent requests into block-diagonal tiled kernel "
-        "calls (0 = disabled)",
-    )
-    parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=8,
-        help="max requests fused per micro-batch (with --batch-window-ms)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -402,8 +386,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         port=0,
         workers=workers,
         backend=args.backend,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
         queue_limit=queue_limit,
         deadline_ms=args.deadline_ms,
         drain_timeout=10.0,

@@ -2,8 +2,9 @@
 
 The bit-local string QUBOs of §4 have O(n) couplings on 7n variables, so
 their off-diagonal density decays like 1/n; beyond the auto-select
-threshold the CSR kernels should win on both sweep throughput (row-slice
-field updates are O(deg) instead of O(n)) and model memory (CSR triplet
+threshold the CSR kernel should win on both sweep throughput (each colour
+class's field update is a CSR row-block product, O(nnz) instead of
+O(|class| n)) and model memory (CSR triplet
 instead of an (n, n) float64 matrix), while staying **bit-identical** to
 the dense path at a fixed seed.
 
@@ -38,8 +39,8 @@ LENGTHS = [16, 32, 64, 96]
 SMOKE_LENGTHS = [16, 32]
 
 #: Many reads is the representative regime: success-rate accounting and the
-#: batch service sample in bulk, and the dense kernel's O(R n) field update
-#: is what the CSR row slices beat.
+#: batch service sample in bulk, and the dense kernel's O(R |class| n) field
+#: update is what the CSR row blocks beat.
 READS = 256
 SWEEPS = 100
 SMOKE_READS = 8
@@ -78,8 +79,8 @@ def _time_mode(model, mode: str, reads: int, sweeps: int, seed: int):
     )
 
 
-def measure(length: int, reads: int = READS, sweeps: int = SWEEPS,
-            seed: int = SEED) -> SparseBenchRow:
+def compare_kernels(length: int, reads: int = READS, sweeps: int = SWEEPS,
+                    seed: int = SEED) -> SparseBenchRow:
     """Compare the dense and sparse kernels on one palindrome model."""
     model = PalindromeGeneration(length).build_model()
     stats = sparse_stats(model.to_dict(), model.num_variables)
@@ -135,7 +136,7 @@ def test_sparse_vs_dense_table(benchmark):
     from benchmarks.common import bench_once, emit_table
 
     def _run():
-        rows = [measure(length) for length in LENGTHS]
+        rows = [compare_kernels(length) for length in LENGTHS]
         emit_table(
             "Sparse CSR vs dense kernels — palindrome generation "
             f"({READS} reads, {SWEEPS} sweeps)",
@@ -182,7 +183,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     reads = SMOKE_READS if args.smoke else READS
     sweeps = SMOKE_SWEEPS if args.smoke else SWEEPS
 
-    rows = [measure(n, reads=reads, sweeps=sweeps, seed=args.seed)
+    rows = [compare_kernels(n, reads=reads, sweeps=sweeps, seed=args.seed)
             for n in lengths]
 
     widths = [max(len(h), *(len(r[i]) for r in _format_rows(rows)))

@@ -10,7 +10,7 @@ dicts, Ising dicts, or labelled BQMs and normalize to the index-based
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -59,36 +59,6 @@ class Sampler(abc.ABC):
     @abc.abstractmethod
     def sample_model(self, model: QuboModel, **params: Any) -> SampleSet:
         """Sample an index-based QUBO; columns are labelled ``0..n-1``."""
-
-    def sample_tiled(self, tiled: Any, *, seed: Any = None, **params: Any) -> List[SampleSet]:
-        """Solve the blocks of a :class:`~repro.qubo.tile.TiledProblem`.
-
-        Returns one :class:`SampleSet` per block, under the tiler's
-        batch-invariance contract: block *k* is sampled with the RNG
-        stream ``tiled.block_rngs(seed)[k]``, keyed by ``(base_seed,
-        block content hash)``, so its result never depends on its
-        tile-mates. This default solves each block with a separate
-        ``sample_model`` call — correct for every sampler but with no
-        fusion speedup; SA/tabu/greedy override it with genuinely fused
-        kernels that reproduce this fallback bit-for-bit.
-
-        Samplers that consume a seed must list ``"seed"`` in their
-        :attr:`parameters` dict; deterministic samplers (e.g. the exact
-        solver) are run without one.
-        """
-        rngs = tiled.block_rngs(seed)
-        takes_seed = "seed" in type(self).parameters
-        out: List[SampleSet] = []
-        for k, model in enumerate(tiled.models):
-            kwargs = dict(params)
-            if takes_seed:
-                kwargs["seed"] = rngs[k]
-            result = self.sample_model(model, **kwargs)
-            result.info.setdefault(
-                "tile", {"num_blocks": tiled.num_blocks, "block": k}
-            )
-            out.append(result)
-        return out
 
     # ------------------------------------------------------------------ #
     # convenience entry points

@@ -7,18 +7,19 @@ NumPy idioms from the HPC guides:
 
 * All reads anneal **simultaneously**: the state is an ``(R, n)`` matrix and
   every Metropolis decision is made for all R reads in one vectorized step.
-* Local fields are maintained **incrementally** (rank-1 updates on accepted
-  flips) instead of being recomputed, making a sweep ``O(R·n)`` for
-  diagonal-dominated models and ``O(R·n·deg)`` in general.
-* An optional *graph-colored* sweep mode updates whole independent sets of
-  variables in single vectorized steps — an exactness-preserving batching
-  strategy (no two simultaneously-updated variables interact).
-* Both kernels run against either the dense ``(n, n)`` coupling matrix or
+* Each sweep visits the variables in **graph-colour order**: the interaction
+  graph is greedy-coloured once, and every colour class (an independent
+  set) is flipped in one vectorized step. No two variables of a class
+  interact, so this is exactly the single-flip sweep taken in colour
+  order; the purely diagonal §4 QUBOs have a single class.
+* Local fields are maintained **incrementally** (rank-k updates on accepted
+  flips) instead of being recomputed.
+* The kernel runs against either the dense ``(n, n)`` coupling matrix or
   the CSR form (:class:`~repro.qubo.sparse.CsrMatrix`): the sparse path
-  replaces each full-row rank-1 update with a row-slice update over the
-  CSR indices, cutting the per-flip cost from ``O(R·n)`` to ``O(R·deg)``
-  while preserving the exact flip/accept order — results are bit-identical
-  to the dense path at a fixed seed for integer-coefficient models.
+  replaces each class's dense row update with a CSR row-block product,
+  cutting its cost from ``O(R·|class|·n)`` to ``O(R·nnz(class))`` while
+  preserving the exact flip/accept order — results are bit-identical to
+  the dense path at a fixed seed for integer-coefficient models.
 """
 
 from __future__ import annotations
@@ -52,17 +53,14 @@ class SimulatedAnnealingSampler(Sampler):
     num_reads:
         Number of independent anneals (default 32).
     num_sweeps:
-        Sweeps per anneal; each sweep proposes one flip per variable
-        (default 256).
+        Sweeps per anneal; each sweep proposes one flip per variable, one
+        colour class at a time (default 256).
     beta_range:
         ``(beta_hot, beta_cold)``; default derived from the model's energy
         scales (see :func:`~repro.anneal.schedule.default_beta_range`).
     beta_schedule:
         ``"geometric"`` (default), ``"linear"``, or an explicit array of
         per-sweep betas (overrides *beta_range*/*num_sweeps*).
-    sweep_mode:
-        ``"random"`` (default; fresh variable permutation per sweep),
-        ``"sequential"``, or ``"colored"`` (greedy-coloring batched updates).
     coupling_mode:
         ``"auto"`` (default), ``"dense"``, or ``"sparse"`` — forwarded to
         :meth:`~repro.qubo.model.QuboModel.sampler_form`. Auto picks the
@@ -79,7 +77,6 @@ class SimulatedAnnealingSampler(Sampler):
         "num_sweeps": "sweeps per anneal",
         "beta_range": "(hot, cold) inverse temperatures",
         "beta_schedule": "'geometric' | 'linear' | explicit array",
-        "sweep_mode": "'random' | 'sequential' | 'colored'",
         "coupling_mode": "'auto' | 'dense' | 'sparse' matrix form",
         "initial_states": "optional (R, n) starting states",
         "seed": "RNG seed",
@@ -93,7 +90,6 @@ class SimulatedAnnealingSampler(Sampler):
         num_sweeps: int = 256,
         beta_range: Optional[Tuple[float, float]] = None,
         beta_schedule: Union[str, Sequence[float], np.ndarray] = "geometric",
-        sweep_mode: str = "random",
         coupling_mode: str = "auto",
         initial_states: Optional[np.ndarray] = None,
         seed: SeedLike = None,
@@ -117,17 +113,8 @@ class SimulatedAnnealingSampler(Sampler):
         states = resolve_initial_states(initial_states, num_reads, n, rng)
         has_coupling = has_any_coupling(coupling)
 
-        if sweep_mode == "colored":
-            classes = self._color_classes(model, rng)
-            self._anneal_colored(states, diag, coupling, betas, classes, rng, has_coupling)
-        elif sweep_mode in ("random", "sequential"):
-            self._anneal_scan(
-                states, diag, coupling, betas, rng, has_coupling, sweep_mode == "random"
-            )
-        else:
-            raise ValueError(
-                f"sweep_mode must be 'random', 'sequential' or 'colored', got {sweep_mode!r}"
-            )
+        classes = self._color_classes(model)
+        self._anneal_colored(states, diag, coupling, betas, classes, rng, has_coupling)
 
         energies = model.energies(states)
         return SampleSet(
@@ -137,269 +124,15 @@ class SimulatedAnnealingSampler(Sampler):
                 "sampler": "SimulatedAnnealingSampler",
                 "num_sweeps": int(betas.shape[0]),
                 "beta_range": (float(betas[0]), float(betas[-1])),
-                "sweep_mode": sweep_mode,
                 "coupling_form": (
                     "sparse" if isinstance(coupling, CsrMatrix) else "dense"
                 ),
             },
         )
 
-    def sample_tiled(
-        self,
-        tiled: Any,
-        *,
-        num_reads: int = 32,
-        num_sweeps: int = 256,
-        beta_range: Optional[Tuple[float, float]] = None,
-        beta_schedule: Union[str, Sequence[float], np.ndarray] = "geometric",
-        sweep_mode: str = "colored",
-        coupling_mode: str = "auto",
-        initial_states: Optional[Sequence[Optional[np.ndarray]]] = None,
-        seed: SeedLike = None,
-        **unknown: Any,
-    ) -> list:
-        """Anneal all blocks of a :class:`~repro.qubo.tile.TiledProblem` fused.
-
-        One ``(R, Σn)`` state matrix, one fused coupling operator, one
-        sweep loop. In the default ``"colored"`` mode the per-block color
-        classes are *merged by rank* — class *c* of every block flips in
-        one vectorized step (blocks never interact, so the union of
-        independent sets is independent) — keeping the per-sweep Python
-        step count at ``max_k C_k`` instead of ``Σ_k C_k``. This is where
-        the fusion throughput comes from on small tiled models.
-
-        Batch invariance: each block draws only from its own
-        content-keyed stream (initial states first, then its segment's
-        Metropolis uniforms per class), uses its own beta schedule
-        (derived from its own coefficients unless an explicit
-        ``beta_range``/array is given), and its per-block result is
-        bit-identical to ``sample_model(block,
-        seed=tiled.block_rngs(seed)[k], sweep_mode="colored", ...)`` for
-        integer-coefficient models. The scan modes (``"random"`` /
-        ``"sequential"``) run per-block on column views — trivially
-        equivalent, no fusion win.
-
-        ``initial_states``, when given, is a length-K sequence of
-        per-block arrays (entries may be None).
-        """
-        if unknown:
-            raise TypeError(f"unknown sampler parameters: {sorted(unknown)}")
-        if num_reads < 1:
-            raise ValueError(f"num_reads must be >= 1, got {num_reads}")
-        if sweep_mode not in ("random", "sequential", "colored"):
-            raise ValueError(
-                f"sweep_mode must be 'random', 'sequential' or 'colored', got {sweep_mode!r}"
-            )
-        if tiled.num_blocks == 0:
-            return []
-        if initial_states is not None and len(initial_states) != tiled.num_blocks:
-            raise ValueError(
-                f"initial_states must have one entry per block "
-                f"({tiled.num_blocks}), got {len(initial_states)}"
-            )
-        rngs = tiled.block_rngs(seed)
-        mode = tiled.resolve_coupling_mode(coupling_mode)
-
-        block_states = []
-        betas: list = [None] * tiled.num_blocks
-        nonempty = []
-        for k, model in enumerate(tiled.models):
-            n_k = model.num_variables
-            if n_k == 0:
-                block_states.append(np.zeros((num_reads, 0), dtype=np.int8))
-                continue
-            diag_k, coup_k = model.sampler_form(mode=mode)
-            betas[k] = self._resolve_schedule(
-                beta_schedule, beta_range, num_sweeps, diag_k, coup_k
-            )
-            init = initial_states[k] if initial_states is not None else None
-            block_states.append(resolve_initial_states(init, num_reads, n_k, rngs[k]))
-            nonempty.append(k)
-        states = np.hstack(block_states)
-
-        if nonempty:
-            if sweep_mode == "colored":
-                classes = {
-                    k: self._color_classes(tiled.models[k], rngs[k]) for k in nonempty
-                }
-                merged = self._merge_classes(tiled, classes, nonempty)
-                diag, coupling = tiled.fused_sampler_form(mode)
-                self._anneal_tiled_colored(
-                    states, diag, coupling, betas, merged, rngs,
-                    has_any_coupling(coupling),
-                )
-            else:
-                for k in nonempty:
-                    diag_k, coup_k = tiled.models[k].sampler_form(mode=mode)
-                    # Column views: the scan kernel mutates the fused matrix
-                    # in place through them.
-                    self._anneal_scan(
-                        states[:, tiled.block_slice(k)],
-                        diag_k,
-                        coup_k,
-                        betas[k],
-                        rngs[k],
-                        has_any_coupling(coup_k),
-                        sweep_mode == "random",
-                    )
-
-        per_block_info = []
-        for k, model in enumerate(tiled.models):
-            if model.num_variables == 0:
-                per_block_info.append({})
-                continue
-            b = betas[k]
-            per_block_info.append(
-                {
-                    "sampler": "SimulatedAnnealingSampler",
-                    "num_sweeps": int(b.shape[0]),
-                    "beta_range": (float(b[0]), float(b[-1])),
-                    "sweep_mode": sweep_mode,
-                    "coupling_form": mode,
-                }
-            )
-        return tiled.build_samplesets(states, per_block_info=per_block_info)
-
     # ------------------------------------------------------------------ #
     # kernels
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _merge_classes(tiled: Any, classes: dict, nonempty: Sequence[int]) -> list:
-        """Merge per-block color classes by rank into fused column sets.
-
-        Returns ``[(columns, segments), ...]`` — one entry per merged
-        class, where ``columns`` concatenates class *c* of every block
-        (shifted into fused index space) and ``segments`` lists
-        ``(block, lo, hi)`` half-open ranges into ``columns``. Blocks
-        with fewer than *c* classes simply sit out class *c* (and draw
-        nothing from their stream for it), exactly as a solo colored
-        anneal of that block would.
-        """
-        num_classes = max(len(classes[k]) for k in nonempty)
-        merged = []
-        for c in range(num_classes):
-            cols_parts = []
-            segments = []
-            pos = 0
-            for k in nonempty:
-                if c < len(classes[k]):
-                    cols = classes[k][c] + int(tiled.starts[k])
-                    cols_parts.append(cols)
-                    segments.append((k, pos, pos + cols.size))
-                    pos += cols.size
-            merged.append((np.concatenate(cols_parts), segments))
-        return merged
-
-    @staticmethod
-    def _anneal_tiled_colored(
-        states: np.ndarray,
-        diag: np.ndarray,
-        coupling: Union[np.ndarray, CsrMatrix],
-        betas: Sequence[Optional[np.ndarray]],
-        merged: Sequence[Tuple[np.ndarray, Sequence[Tuple[int, int, int]]]],
-        rngs: Sequence[np.random.Generator],
-        has_coupling: bool,
-    ) -> None:
-        """Fused colored sweep over all blocks at once. Mutates *states*.
-
-        Mirrors :meth:`_anneal_colored` step for step; the only per-block
-        work left in the inner loop is the Metropolis draw on each
-        block's segment (its own stream, its own beta), ~6 small array
-        ops versus a full solo class iteration. Field updates go through
-        the fused coupling: the block-diagonal structure guarantees
-        cross-block contributions are structurally absent (CSR) or exact
-        zeros (dense), so per-block field values match the solo kernel
-        bit-for-bit on integer-coefficient models.
-        """
-        fields = initial_local_fields(states, coupling) if has_coupling else None
-        sparse = isinstance(coupling, CsrMatrix)
-        blocks = (
-            [coupling.row_block(cols) for cols, _ in merged]
-            if (sparse and has_coupling)
-            else None
-        )
-        num_sweeps = next(b.shape[0] for b in betas if b is not None)
-        for t in range(num_sweeps):
-            for index, (cols, segments) in enumerate(merged):
-                xc = states[:, cols]
-                dx = 1.0 - 2.0 * xc
-                local = diag[cols][None, :]
-                if has_coupling:
-                    local = local + fields[:, cols]
-                delta_e = dx * local
-                accept = delta_e <= 0.0
-                for k, lo, hi in segments:
-                    seg = accept[:, lo:hi]
-                    hot = ~seg
-                    if hot.any():
-                        log_p = np.clip(
-                            -betas[k][t] * delta_e[:, lo:hi][hot], -_EXP_CLIP, 0.0
-                        )
-                        seg[hot] = rngs[k].random(int(hot.sum())) < np.exp(log_p)
-                if not accept.any():
-                    continue
-                flip = accept.astype(np.int8)
-                states[:, cols] ^= flip
-                if has_coupling:
-                    delta = dx * accept
-                    if sparse:
-                        fields += np.asarray(delta @ blocks[index])
-                    else:
-                        fields += delta @ coupling[cols, :]
-
-    @staticmethod
-    def _anneal_scan(
-        states: np.ndarray,
-        diag: np.ndarray,
-        coupling: Union[np.ndarray, CsrMatrix],
-        betas: np.ndarray,
-        rng: np.random.Generator,
-        has_coupling: bool,
-        randomize: bool,
-    ) -> None:
-        """Per-variable scan, vectorized across reads. Mutates *states*.
-
-        Accepts either coupling form. The sparse branch performs the same
-        rank-1 field update restricted to the CSR row slice of the flipped
-        variable — identical RNG consumption and accept decisions, so at a
-        fixed seed it reproduces the dense kernel bit-for-bit on
-        integer-coefficient models.
-        """
-        num_reads, n = states.shape
-        fields = initial_local_fields(states, coupling) if has_coupling else None
-        sparse = isinstance(coupling, CsrMatrix)
-        # Precompute the CSR row slices once: ~n tuple lookups per sweep
-        # would otherwise dominate the sparse inner loop.
-        rows = coupling.rows() if (sparse and has_coupling) else None
-        order = np.arange(n)
-        for beta in betas:
-            if randomize:
-                rng.shuffle(order)
-            # Draw the whole sweep's uniforms at once: one RNG call per sweep.
-            uniforms = rng.random((n, num_reads))
-            for rank, i in enumerate(order):
-                xi = states[:, i]
-                dx = 1.0 - 2.0 * xi  # +1 when flipping 0 -> 1
-                local = diag[i] + (fields[:, i] if has_coupling else 0.0)
-                delta_e = dx * local
-                accept = delta_e <= 0.0
-                hot = ~accept
-                if hot.any():
-                    log_p = np.clip(-beta * delta_e[hot], -_EXP_CLIP, 0.0)
-                    accept[hot] = uniforms[rank, hot] < np.exp(log_p)
-                if not accept.any():
-                    continue
-                states[accept, i] ^= 1
-                if has_coupling:
-                    if sparse:
-                        cols, vals = rows[i]
-                        if cols.size:
-                            fields[np.ix_(accept, cols)] += (
-                                dx[accept, None] * vals[None, :]
-                            )
-                    else:
-                        fields[accept] += dx[accept, None] * coupling[i][None, :]
 
     @staticmethod
     def _anneal_colored(
@@ -485,7 +218,7 @@ class SimulatedAnnealingSampler(Sampler):
         return betas
 
     @staticmethod
-    def _color_classes(model: QuboModel, rng: np.random.Generator) -> list:
+    def _color_classes(model: QuboModel) -> list:
         """Greedy-color the interaction graph into independent sets."""
         import networkx as nx
 

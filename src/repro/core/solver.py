@@ -127,10 +127,10 @@ def result_from_sampleset(
 ) -> SolveResult:
     """Decode, verify and score a sample set into a :class:`SolveResult`.
 
-    The back half of :meth:`StringQuboSolver.solve`, shared with the fused
-    batch engine (:mod:`repro.service.fused`), which produces sample sets
-    through tiled solves rather than per-formulation ``sample_model``
-    calls but reports results in the identical shape.
+    The back half of :meth:`StringQuboSolver.solve`, shared with the
+    refinement loop (:mod:`repro.smt.refine`), which anneals a reduced
+    QUBO and expands its samples back to the full variable space but
+    reports results in the identical shape.
     """
     best = sampleset.first
     best_state = best.state(sampleset.variables)

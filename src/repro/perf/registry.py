@@ -77,7 +77,7 @@ __all__ = [
 
 #: The tracked suites, one committed baseline file each.
 SUITES: Tuple[str, ...] = (
-    "core", "sparse", "service", "tile", "incremental", "refine", "opt",
+    "core", "sparse", "service", "incremental", "refine", "opt",
 )
 
 #: Workload kinds the runner knows how to build.
@@ -328,36 +328,6 @@ register(BenchmarkSpec(
         "num_sweeps": 300, "seed": 2025,
     },
     description="10-item batch, 4-thread executor, cold compile cache",
-))
-
-# tile — block-diagonal fused batching vs the per-item reference --------
-# Same 16 queued small instances and total read budget either way; the
-# fused spec solves them as one block-diagonal kernel call per tile.
-
-_TILE_WORDS = ("red", "blue", "lime", "cyan", "gold", "teal", "pink", "onyx")
-
-register(BenchmarkSpec(
-    name="tile-serial-16",
-    suite="tile",
-    kind="batch",
-    params={
-        "words": _TILE_WORDS, "repeats": 2, "executor": "serial",
-        "num_workers": 1, "warm": True, "num_reads": 32,
-        "num_sweeps": 200, "seed": 2025,
-    },
-    description="16-item batch, per-item serial solves (fusion reference)",
-))
-
-register(BenchmarkSpec(
-    name="tile-fused-16",
-    suite="tile",
-    kind="batch",
-    params={
-        "words": _TILE_WORDS, "repeats": 2, "executor": "fused",
-        "num_workers": 1, "warm": True, "num_reads": 32,
-        "num_sweeps": 200, "seed": 2025, "tile_max": 16,
-    },
-    description="16-item batch fused block-diagonally (one kernel call/tile)",
 ))
 
 # incremental — push/pop sessions: replay + warm-vs-cold re-check -------

@@ -228,7 +228,6 @@ def _build_batch(spec: BenchmarkSpec) -> Workload:
             metrics=metrics,
             executor=str(p["executor"]),
             num_workers=int(p["num_workers"]),
-            tile_max=int(p.get("tile_max", 16)),
         )
 
     # A warm workload shares one cache primed at build time (untimed), so

@@ -52,7 +52,6 @@ from repro.qubo.sparse import (
 )
 from repro.qubo.hubo import HuboModel, quadratize
 from repro.qubo.serialization import load_model, save_model
-from repro.qubo.tile import TiledProblem, model_content_hash, tile_models
 
 __all__ = [
     "BINARY",
@@ -71,10 +70,7 @@ __all__ = [
     "SPIN",
     "BinaryQuadraticModel",
     "QuboModel",
-    "TiledProblem",
     "Vartype",
-    "model_content_hash",
-    "tile_models",
     "add_models",
     "dense_from_dict",
     "dict_from_dense",

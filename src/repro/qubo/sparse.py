@@ -31,7 +31,7 @@ associativity (≤ 1e-9 in practice; see the property tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -162,10 +162,6 @@ class CsrMatrix:
         """``(columns, values)`` views of row *i* — the rank-1 update slice."""
         start, stop = self.indptr[i], self.indptr[i + 1]
         return self.indices[start:stop], self.data[start:stop]
-
-    def rows(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """All ``(columns, values)`` row views, precomputed for sweep loops."""
-        return [self.row(i) for i in range(self.shape[0])]
 
     def row_block(self, rows: Union[Sequence[int], np.ndarray]):
         """SciPy CSR submatrix of the given rows (colored batched updates)."""

@@ -81,20 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "requests before the server closes it",
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="micro-batching window in ms (thread backend only): collect "
-        "concurrent requests for up to this long and solve each group as "
-        "one block-diagonally fused kernel call; 0 disables",
-    )
-    parser.add_argument(
-        "--batch-max",
-        type=int,
-        default=8,
-        help="max requests fused per micro-batch (with --batch-window-ms)",
-    )
-    parser.add_argument(
         "--strategy",
         choices=("direct", "refine"),
         default="direct",
@@ -171,8 +157,6 @@ def config_from_args(args: argparse.Namespace) -> ServerConfig:
         port=args.port,
         workers=args.workers,
         backend=args.backend,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
         drain_timeout=args.drain_timeout,

@@ -94,15 +94,6 @@ class ServerConfig:
     #: multiprocessing start method for backend="process" ("spawn" is the
     #: safe default alongside asyncio + executor threads).
     mp_context: str = "spawn"
-    #: Micro-batching window: >0 makes the thread backend collect
-    #: concurrent requests for up to this many milliseconds and solve each
-    #: group as one block-diagonally fused kernel call (see
-    #: repro.server.workers / repro.service.fused). 0 disables batching.
-    #: Thread backend only — process workers hold per-process caches and
-    #: cannot tile across processes.
-    batch_window_ms: float = 0.0
-    #: Maximum requests fused per batch when batch_window_ms > 0.
-    batch_max: int = 8
     queue_limit: int = 16
     deadline_ms: float = 30000.0
     drain_timeout: float = 10.0
@@ -153,24 +144,6 @@ class ServerConfig:
         if self.refine_max_rounds < 0:
             raise ValueError(
                 f"refine_max_rounds must be >= 0, got {self.refine_max_rounds}"
-            )
-        if self.batch_window_ms > 0 and self.strategy != "direct":
-            raise ValueError(
-                "micro-batching (batch_window_ms > 0) requires "
-                "strategy='direct'; fused tiles bypass the per-request "
-                "refinement loop"
-            )
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
-        if self.batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
-        if self.batch_window_ms > 0 and self.backend != "thread":
-            raise ValueError(
-                "micro-batching (batch_window_ms > 0) requires backend="
-                f"'thread'; the {self.backend!r} backend cannot tile QUBOs "
-                "across worker processes"
             )
         if self.queue_limit < 0:
             raise ValueError(f"queue_limit must be >= 0, got {self.queue_limit}")
@@ -264,8 +237,6 @@ class SolverServer(HttpService):
                 policy=policy,
                 cache=self.cache,
                 metrics=self.metrics,
-                batch_window_ms=self.config.batch_window_ms,
-                batch_max=self.config.batch_max,
                 strategy=self.config.strategy,
                 refine_max_rounds=self.config.refine_max_rounds,
                 opt_max_restarts=self.config.opt_max_restarts,

@@ -29,24 +29,6 @@ admitted request even under a timeout storm where every slot's previous
 occupant is still finishing its last abandoned attempt, so admitted work
 never queues invisibly inside the executor outside the queue_ms /
 deadline accounting.
-
-Micro-batching (opt-in)
------------------------
-With ``batch_window_ms > 0`` the pool fuses concurrent requests instead of
-solving each on its own thread: an event-loop collector gathers admitted
-requests for up to one window (or until ``batch_max`` are waiting), then
-dispatches the group to a single executor call that block-diagonally tiles
-their QUBOs through :func:`repro.service.fused.solve_batch_fused` — one
-fused sweep loop for the whole group. The tiler's content-keyed RNG makes
-each request's fused result independent of its batch-mates, so answers do
-not depend on traffic timing; requests whose fused pass misses fall back
-to the ordinary per-item solve inside the same executor call. Requests
-carrying explicit per-request solve parameters bypass batching. Deadlines
-on batched requests are enforced on the event-loop side only (the
-abandoned request's share of the fused result is discarded; its clamped
-retry policy still bounds fallback work). Batching pays off when
-``workers`` is at least the intended batch size — each admission slot
-maps to a request waiting in some batch.
 """
 
 from __future__ import annotations
@@ -149,15 +131,6 @@ class _RequestContext:
     cancelled: threading.Event = field(default_factory=threading.Event)
 
 
-@dataclass
-class _BatchItem:
-    """One request parked in the micro-batch collector."""
-
-    assertions: List[ast.Term]
-    policy: RetryPolicy
-    future: "asyncio.Future[SolveOutcome]"
-
-
 class SolverWorkerPool:
     """Run ``QuantumSMTSolver`` solves on executor threads.
 
@@ -178,8 +151,6 @@ class SolverWorkerPool:
         policy: Optional[RetryPolicy] = None,
         cache: Optional[CompileCache] = None,
         metrics: Optional[MetricsRegistry] = None,
-        batch_window_ms: float = 0.0,
-        batch_max: int = 8,
         strategy: str = "direct",
         refine_max_rounds: int = 4,
         opt_max_restarts: int = 4,
@@ -191,17 +162,6 @@ class SolverWorkerPool:
             raise ValueError(
                 f"strategy must be 'direct' or 'refine', got {strategy!r}"
             )
-        if batch_window_ms > 0 and strategy != "direct":
-            raise ValueError(
-                "micro-batching requires strategy='direct'; fused tiles "
-                "bypass the per-request refinement loop"
-            )
-        if batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {batch_window_ms}"
-            )
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if seed is not None and not isinstance(seed, int):
             raise TypeError(
                 "the server needs a reproducible seed (int or None); live "
@@ -232,11 +192,6 @@ class SolverWorkerPool:
         self._executor = ThreadPoolExecutor(
             max_workers=workers * 2, thread_name_prefix="server-solver"
         )
-        self.batch_window_ms = batch_window_ms
-        self.batch_max = batch_max
-        self._batch_queue: Optional[asyncio.Queue] = None
-        self._collector: Optional[asyncio.Task] = None
-        self._dispatches: set = set()
 
     # ------------------------------------------------------------------ #
     # deadline composition
@@ -268,11 +223,6 @@ class SolverWorkerPool:
         *remaining* elapses before the solve completes (the thread is told
         to stop retrying and abandoned).
         """
-        if self.batch_window_ms > 0 and not solve_params:
-            # Requests with explicit per-request solve parameters cannot
-            # share a fused kernel call (the tile solves with one parameter
-            # set); they take the ordinary per-thread path below.
-            return await self._solve_batched(list(assertions), remaining)
         context = _RequestContext()
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(
@@ -306,11 +256,9 @@ class SolverWorkerPool:
     ) -> SolveOutcome:
         """Run one weighted-MaxSMT optimization on a worker thread.
 
-        Weighted requests never micro-batch — the fused tiler solves
-        sat-only QUBOs, and the anytime driver manages its own restart
-        schedule. The remaining deadline budget is handed to the driver as
-        its anytime ``deadline_ms`` (it stops opening restarts past it);
-        the event-loop ``wait_for`` stays authoritative.
+        The remaining deadline budget is handed to the driver as its
+        anytime ``deadline_ms`` (it stops opening restarts past it); the
+        event-loop ``wait_for`` stays authoritative.
         """
         context = _RequestContext()
         loop = asyncio.get_running_loop()
@@ -375,124 +323,6 @@ class SolverWorkerPool:
                 opt_status="unknown",
             )
 
-    # ------------------------------------------------------------------ #
-    # micro-batching
-    # ------------------------------------------------------------------ #
-
-    async def _solve_batched(
-        self, assertions: List[ast.Term], remaining: Optional[float]
-    ) -> SolveOutcome:
-        """Park the request in the collector and await its fused outcome."""
-        self._ensure_collector()
-        loop = asyncio.get_running_loop()
-        item = _BatchItem(
-            assertions=assertions,
-            policy=self.effective_policy(remaining),
-            future=loop.create_future(),
-        )
-        self._batch_queue.put_nowait(item)
-        try:
-            # shield(): a deadline must not cancel the shared future — the
-            # dispatcher still resolves it for the batch's other members.
-            if remaining is None:
-                return await asyncio.shield(item.future)
-            return await asyncio.wait_for(
-                asyncio.shield(item.future), timeout=max(remaining, 1e-3)
-            )
-        except asyncio.TimeoutError:
-            self.metrics.counter("server.timeout").inc()
-            self.metrics.counter("server.timeout.solving").inc()
-            raise DeadlineExceededError("solving", remaining or 0.0) from None
-
-    def _ensure_collector(self) -> None:
-        if self._collector is None or self._collector.done():
-            if self._batch_queue is None:
-                self._batch_queue = asyncio.Queue()
-            self._collector = asyncio.get_running_loop().create_task(
-                self._collect(), name="server-batch-collector"
-            )
-
-    async def _collect(self) -> None:
-        """Gather requests for one window (or ``batch_max``), then dispatch.
-
-        Dispatch happens on a separate task so collection of the next
-        batch starts immediately — the window bounds *latency added by
-        batching*, not solve turnaround.
-        """
-        window = self.batch_window_ms / 1000.0
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._batch_queue.get()]
-            deadline = loop.time() + window
-            while len(batch) < self.batch_max:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(
-                            self._batch_queue.get(), timeout=timeout
-                        )
-                    )
-                except asyncio.TimeoutError:
-                    break
-            task = loop.create_task(self._dispatch(batch))
-            self._dispatches.add(task)
-            task.add_done_callback(self._dispatches.discard)
-
-    async def _dispatch(self, batch: List[_BatchItem]) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            outcomes = await loop.run_in_executor(
-                self._executor, self._solve_batch_blocking, batch
-            )
-        except Exception as exc:  # noqa: BLE001 — boundary: degrade, don't crash
-            outcomes = [
-                SolveOutcome(
-                    result=SmtResult(
-                        status="unknown", reason=f"{type(exc).__name__}: {exc}"
-                    ),
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                )
-                for _ in batch
-            ]
-        for item, outcome in zip(batch, outcomes):
-            # done() guards against requests that timed out while fused.
-            if not item.future.done():
-                item.future.set_result(outcome)
-
-    def _solve_batch_blocking(self, batch: List[_BatchItem]) -> List[SolveOutcome]:
-        from repro.service.fused import solve_batch_fused
-
-        self.metrics.counter("server.batches").inc()
-        self.metrics.counter("server.batched_solves").inc(len(batch))
-        self.metrics.counter("server.solves").inc(len(batch))
-        self.metrics.observe("server.batch_size", float(len(batch)))
-        outcomes = solve_batch_fused(
-            [item.assertions for item in batch],
-            sampler_factory=self.sampler_factory,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            policy=self.policy,
-            policies=[item.policy for item in batch],
-            cache=self.cache,
-            metrics=self.metrics,
-            tile_max=self.batch_max,
-        )
-        return [
-            SolveOutcome(
-                result=outcome.result,
-                cache_hit=outcome.cache_hit,
-                wall_time=outcome.wall_time,
-                error=outcome.error,
-                error_type=outcome.error_type,
-            )
-            for outcome in outcomes
-        ]
-
     def _solve_blocking(
         self,
         assertions: List[ast.Term],
@@ -551,16 +381,7 @@ class SolverWorkerPool:
     # ------------------------------------------------------------------ #
 
     def shutdown(self, wait: bool = False) -> None:
-        """Stop the executor; abandoned attempts are never joined.
-
-        The batch collector and in-flight dispatch tasks are cancelled;
-        requests still parked in a batch are being cancelled by the server
-        drain at this point, so their unresolved futures are moot.
-        """
-        if self._collector is not None:
-            self._collector.cancel()
-        for task in list(self._dispatches):
-            task.cancel()
+        """Stop the executor; abandoned attempts are never joined."""
         self._executor.shutdown(wait=wait, cancel_futures=True)
 
 

@@ -148,20 +148,9 @@ class BatchSolver:
     num_workers:
         Worker-pool width for ``executor="thread"``.
     executor:
-        ``"thread"`` (default), ``"serial"``, or ``"fused"``. The serial
-        mode runs the identical code path without a pool and is the
-        reproducibility reference, mirroring
-        :class:`~repro.anneal.parallel.ParallelSampler`. ``"fused"``
-        routes the batch through :func:`repro.service.fused.solve_batch_fused`,
-        which block-diagonally tiles the items' QUBOs into joint kernel
-        calls (at most ``tile_max`` blocks per call) — one fused sweep
-        loop instead of one per item. Items whose single fused pass fails
-        verification fall back to the per-item path, so statuses keep the
-        same soundness contract; see :mod:`repro.service.fused` for the
-        determinism fine print.
-    tile_max:
-        Maximum QUBO blocks fused per kernel call (``executor="fused"``
-        only; default 16).
+        ``"thread"`` (default) or ``"serial"``. The serial mode runs the
+        identical code path without a pool and is the reproducibility
+        reference, mirroring :class:`~repro.anneal.parallel.ParallelSampler`.
 
     Examples
     --------
@@ -189,7 +178,6 @@ class BatchSolver:
         metrics: Optional[MetricsRegistry] = None,
         num_workers: int = 4,
         executor: str = "thread",
-        tile_max: int = 16,
         strategy: str = "direct",
         refine_max_rounds: int = 4,
         opt_max_restarts: int = 4,
@@ -202,17 +190,10 @@ class BatchSolver:
             raise ValueError(
                 f"strategy must be 'direct' or 'refine', got {strategy!r}"
             )
-        if executor == "fused" and strategy != "direct":
+        if executor not in ("thread", "serial"):
             raise ValueError(
-                "executor='fused' requires strategy='direct'; fused tiles "
-                "bypass the per-item refinement loop"
+                f"executor must be 'thread' or 'serial', got {executor!r}"
             )
-        if executor not in ("thread", "serial", "fused"):
-            raise ValueError(
-                f"executor must be 'thread', 'serial' or 'fused', got {executor!r}"
-            )
-        if tile_max < 1:
-            raise ValueError(f"tile_max must be >= 1, got {tile_max}")
         if seed is not None and not isinstance(seed, int):
             raise TypeError(
                 "BatchSolver needs a reproducible seed (int or None); live "
@@ -230,7 +211,6 @@ class BatchSolver:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.num_workers = num_workers
         self.executor = executor
-        self.tile_max = tile_max
         self.strategy = strategy
         self.refine_max_rounds = refine_max_rounds
         self.opt_max_restarts = opt_max_restarts
@@ -249,9 +229,7 @@ class BatchSolver:
         results: List[Optional[BatchItemResult]] = [None] * len(pairs)
 
         with Timer() as timer:
-            if self.executor == "fused":
-                results = self._solve_fused(pairs, solve_params)
-            elif self.executor == "serial" or len(pairs) <= 1:
+            if self.executor == "serial" or len(pairs) <= 1:
                 for index, (assertions, soft) in enumerate(pairs):
                     results[index] = self._solve_one(
                         index, assertions, soft, solve_params
@@ -285,57 +263,6 @@ class BatchSolver:
     def solve_scripts(self, scripts: Sequence[str], **solve_params: Any) -> BatchReport:
         """Convenience alias: every item is SMT-LIB source text."""
         return self.solve_batch(list(scripts), **solve_params)
-
-    def _solve_fused(
-        self,
-        pairs: List[Tuple[List[ast.Term], List[ast.SoftAssertion]]],
-        solve_params: Dict[str, Any],
-    ) -> List[BatchItemResult]:
-        """The ``executor="fused"`` path: tile QUBOs across items.
-
-        Delegates to :func:`repro.service.fused.solve_batch_fused` (which
-        shares this solver's cache, metrics and retry policy) and maps its
-        outcomes onto :class:`BatchItemResult` with the same ``batch.*``
-        counters the per-item executors emit. Weighted items cannot join a
-        fused tile (the tiler solves sat-only QUBOs); they take the
-        per-item optimize path and are stitched back in submission order.
-        """
-        from repro.service.fused import solve_batch_fused
-
-        results: List[Optional[BatchItemResult]] = [None] * len(pairs)
-        plain = [(i, hard) for i, (hard, soft) in enumerate(pairs) if not soft]
-        for index, (hard, soft) in enumerate(pairs):
-            if soft:
-                results[index] = self._solve_one(index, hard, soft, solve_params)
-        if not plain:
-            return [r for r in results if r is not None]
-        outcomes = solve_batch_fused(
-            [hard for _, hard in plain],
-            sampler_factory=self.sampler_factory,
-            num_reads=self.num_reads,
-            seed=self.seed,
-            sampler_params=self.sampler_params,
-            penalty_strength=self.penalty_strength,
-            policy=self.policy,
-            cache=self.cache,
-            metrics=self.metrics,
-            tile_max=self.tile_max,
-            solve_params=solve_params,
-        )
-        for (index, _), outcome in zip(plain, outcomes):
-            self.metrics.counter("batch.items").inc()
-            item = BatchItemResult(
-                index=index,
-                result=outcome.result,
-                cache_hit=outcome.cache_hit,
-                wall_time=outcome.wall_time,
-                error=outcome.error,
-                error_type=outcome.error_type,
-            )
-            self.metrics.observe("batch.item_wall", item.wall_time)
-            self.metrics.counter(f"batch.{item.status}").inc()
-            results[index] = item
-        return [r for r in results if r is not None]
 
     # ------------------------------------------------------------------ #
     # per-item work

@@ -95,7 +95,7 @@ class TestSession:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "fused"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_mixed_batch_routes_weighted_items(self, executor):
         solver = BatchSolver(executor=executor, **FAST)
         report = solver.solve_scripts(

@@ -113,8 +113,8 @@ class TestFileRoundTrip:
 
 class TestNewerModelShapes:
     """Round-trips for the shapes later subsystems produce: CSR-coupled
-    models, tiled/offset fused models, and weighted MaxSMT models — each
-    with a byte-stable JSON pin (sorted-keys sha256)."""
+    models, two-block direct sums with offsets, and weighted MaxSMT
+    models — each with a byte-stable JSON pin (sorted-keys sha256)."""
 
     @staticmethod
     def _digest(payload) -> str:
@@ -125,11 +125,13 @@ class TestNewerModelShapes:
         ).hexdigest()
 
     def _tiled_fused(self):
-        from repro.qubo.tile import TiledProblem
-
-        a = QuboModel(2, {(0, 0): -1.0, (0, 1): 2.0}, offset=0.5)
-        b = QuboModel(3, {(1, 1): 1.5, (0, 2): -0.25}, offset=-1.0)
-        return TiledProblem([a, b]).fused_model
+        # Block-diagonal sum of a 2-variable block (offset 0.5) and a
+        # 3-variable block (offset -1.0) shifted to columns 2..4.
+        return QuboModel(
+            5,
+            {(0, 0): -1.0, (0, 1): 2.0, (3, 3): 1.5, (2, 4): -0.25},
+            offset=-0.5,
+        )
 
     def _weighted(self):
         from repro.opt.weighted import compile_weighted
