@@ -46,7 +46,6 @@ from repro.anneal import (
     SampleSet,
     SimulatedAnnealingSampler,
 )
-from repro.hardware import EmbeddingComposite, SimulatedQPU
 from repro.qubo import BinaryQuadraticModel, QuboModel
 from repro.smt import ClassicalStringSolver, QuantumSMTSolver
 from repro.service import (
@@ -58,6 +57,17 @@ from repro.service import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # Resolved on first use: repro.hardware imports networkx, which the
+    # SMT-LIB -> QUBO -> anneal path never needs.
+    if name in ("EmbeddingComposite", "SimulatedQPU"):
+        from repro import hardware
+
+        return getattr(hardware, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __all__ = [
     "BatchSolver",

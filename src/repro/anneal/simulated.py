@@ -19,7 +19,21 @@ NumPy idioms from the HPC guides:
   replaces each class's dense row update with a CSR row-block product,
   cutting its cost from ``O(R·|class|·n)`` to ``O(R·nnz(class))`` while
   preserving the exact flip/accept order — results are bit-identical to
-  the dense path at a fixed seed for integer-coefficient models.
+  the dense path at a fixed seed for integer-coefficient models. Each
+  class's index, diagonal and (pre-transposed) row block are prepared
+  once per call, outside the sweep loop.
+* **Coupling-free** models (most §4 QUBOs: ``str.len``, equality and
+  character constraints are purely diagonal) skip the colouring and the
+  fields: a flip of variable *i* costs exactly ``±d_i``, so the Metropolis
+  acceptance probabilities form a precomputed ``(sweeps, distinct |d|)``
+  table and a sweep is a compare, one ``rng.random(k)`` and a table
+  gather over all ``R · n`` entries.
+
+Both specialisations make the same accept/reject decisions from the same
+``rng.random(k)`` draws, in the same order, as the plain per-class sweep
+(mask, draw, ``exp`` per hot entry): states, energies and the caller's
+Generator state are bit-identical to it at every seed
+(``tests/anneal/test_kernel_pins.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +55,9 @@ from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["SimulatedAnnealingSampler"]
 
-#: Exponent clamp: exp(-700) underflows float64 to 0, so nothing is lost.
+#: Exponent clamp: exp(-700) ~ 1e-304 already lies below every nonzero
+#: ``rng.random()`` draw (multiples of 2**-53); the clamp only keeps exp()
+#: clear of underflow.
 _EXP_CLIP = 700.0
 
 
@@ -111,10 +127,11 @@ class SimulatedAnnealingSampler(Sampler):
         )
 
         states = resolve_initial_states(initial_states, num_reads, n, rng)
-        has_coupling = has_any_coupling(coupling)
-
-        classes = self._color_classes(model)
-        self._anneal_colored(states, diag, coupling, betas, classes, rng, has_coupling)
+        if has_any_coupling(coupling):
+            classes = self._color_classes(model)
+            self._anneal_colored(states, diag, coupling, betas, classes, rng)
+        else:
+            self._anneal_diagonal(states, diag, betas, rng)
 
         energies = model.energies(states)
         return SampleSet(
@@ -135,6 +152,43 @@ class SimulatedAnnealingSampler(Sampler):
     # ------------------------------------------------------------------ #
 
     @staticmethod
+    def _anneal_diagonal(
+        states: np.ndarray,
+        diag: np.ndarray,
+        betas: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Metropolis sweeps of a coupling-free model. Mutates *states*.
+
+        Without couplings every variable is its own neighbourhood, so the
+        sweep is the single-class colour sweep over all ``R · n`` entries,
+        and a flip of variable *i* costs ``±d_i``. An entry is *hot*
+        (``delta_e > 0``) exactly when its bit holds the variable's ground
+        value (1 where ``d < 0``, 0 where ``d > 0``, never where ``d = 0``)
+        and then ``delta_e = |d_i|``. The acceptance probabilities are
+        therefore a ``(sweeps, distinct |d|)`` table built once, and each
+        sweep draws ``rng.random(k)`` for the same ``k`` hot entries in the
+        same row-major order as the per-class kernel: the decisions, the
+        states and the Generator's final state are bit-identical to it.
+        """
+        num_reads = states.shape[0]
+        magnitudes, codes = np.unique(np.abs(diag), return_inverse=True)
+        table = np.exp(
+            np.clip(-betas[:, None] * magnitudes[None, :], -_EXP_CLIP, 0.0)
+        )
+        ground = np.where(diag < 0.0, 1, np.where(diag > 0.0, 0, 2))
+        ground = np.tile(ground.astype(np.int8), num_reads)
+        codes = np.tile(codes.reshape(-1), num_reads)
+        flat = states.reshape(-1)  # a view: states is C-contiguous
+        for probabilities in table:
+            hot = flat == ground
+            index = hot.nonzero()[0]
+            accept = np.logical_not(hot, out=hot)
+            if index.size:
+                accept[index] = rng.random(index.size) < probabilities[codes[index]]
+            flat ^= accept
+
+    @staticmethod
     def _anneal_colored(
         states: np.ndarray,
         diag: np.ndarray,
@@ -142,50 +196,50 @@ class SimulatedAnnealingSampler(Sampler):
         betas: np.ndarray,
         classes: Sequence[np.ndarray],
         rng: np.random.Generator,
-        has_coupling: bool,
     ) -> None:
         """Independent-set batched updates. Mutates *states*.
 
         Within one color class no two variables interact, so flipping them
         simultaneously is exactly equivalent to flipping them one at a time.
-        The sparse branch performs the rank-k field update through a CSR
-        row block per color class (``O(R · nnz(class))`` instead of
-        ``O(R · |class| · n)``), with identical RNG consumption.
+        Everything a class needs is prepared once, before the sweep loop:
+        its index (a slice when the class is contiguous), its diagonal, and
+        its block of coupling rows. The sparse branch keeps that block as
+        the *transposed* CSR row block and applies the rank-k field update
+        as ``(block.T @ delta.T).T`` — the exact product SciPy evaluates
+        for ``delta @ block``, without building a new transposed view on
+        every call — at ``O(R · nnz(class))`` instead of
+        ``O(R · |class| · n)``, with identical RNG consumption.
         """
-        num_reads, n = states.shape
-        fields = initial_local_fields(states, coupling) if has_coupling else None
+        fields = initial_local_fields(states, coupling)
         sparse = isinstance(coupling, CsrMatrix)
-        # One CSR row block per color class, sliced once outside the sweep
-        # loop (SciPy row indexing is not free).
-        blocks = (
-            [coupling.row_block(cls) for cls in classes]
-            if (sparse and has_coupling)
-            else None
-        )
+        plan = []
+        for cls in classes:
+            index = _class_index(cls)
+            if sparse:
+                rows = coupling.row_block(cls).T
+            else:
+                rows = np.ascontiguousarray(coupling[index, :])
+            plan.append((index, diag[index][None, :], rows))
         for beta in betas:
-            for index, cls in enumerate(classes):
-                xc = states[:, cls]
-                dx = 1.0 - 2.0 * xc
-                local = diag[cls][None, :]
-                if has_coupling:
-                    local = local + fields[:, cls]
-                delta_e = dx * local
+            for index, local_diag, rows in plan:
+                dx = 1.0 - 2.0 * states[:, index]
+                delta_e = dx * (local_diag + fields[:, index])
                 accept = delta_e <= 0.0
                 hot = ~accept
-                if hot.any():
-                    log_p = np.clip(-beta * delta_e[hot], -_EXP_CLIP, 0.0)
-                    accept[hot] = rng.random(int(hot.sum())) < np.exp(log_p)
+                k = np.count_nonzero(hot)
+                if k:
+                    # delta_e > 0 here: an upper clamp at 0 would never bind.
+                    log_p = np.maximum(-beta * delta_e[hot], -_EXP_CLIP)
+                    accept[hot] = rng.random(k) < np.exp(log_p)
                 if not accept.any():
                     continue
-                flip = accept.astype(np.int8)
-                states[:, cls] ^= flip
-                if has_coupling:
-                    # Rank-k update: only accepted flips contribute.
-                    delta = dx * accept
-                    if sparse:
-                        fields += np.asarray(delta @ blocks[index])
-                    else:
-                        fields += delta @ coupling[cls, :]
+                states[:, index] ^= accept
+                # Rank-k update: only accepted flips contribute.
+                delta = dx * accept
+                if sparse:
+                    fields += (rows @ delta.T).T
+                else:
+                    fields += delta @ rows
 
     # ------------------------------------------------------------------ #
     # setup helpers
@@ -230,3 +284,11 @@ class SimulatedAnnealingSampler(Sampler):
             for color in range(num_colors)
         ]
         return [cls for cls in classes if cls.size]
+
+
+def _class_index(cls: np.ndarray) -> Union[slice, np.ndarray]:
+    """A sorted colour class as a slice when contiguous (views, not copies)."""
+    first, last = int(cls[0]), int(cls[-1])
+    if last - first + 1 == cls.size:
+        return slice(first, last + 1)
+    return cls

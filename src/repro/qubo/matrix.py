@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "dense_from_dict",
@@ -59,8 +58,10 @@ def dense_from_dict(coefficients: PairDict, num_variables: int) -> np.ndarray:
     return q
 
 
-def coo_from_dict(coefficients: PairDict, num_variables: int) -> sp.coo_matrix:
+def coo_from_dict(coefficients: PairDict, num_variables: int):
     """Build a sparse COO upper-triangular matrix (for very large models)."""
+    import scipy.sparse as sp
+
     upper = to_upper_triangular(coefficients)
     if not upper:
         return sp.coo_matrix((num_variables, num_variables), dtype=np.float64)

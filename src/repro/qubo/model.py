@@ -22,6 +22,9 @@ Design notes
 * ``set_`` methods overwrite and ``add_`` methods accumulate. The paper's
   substring-matching formulation (§4.3) depends on the *overwrite* semantics:
   later encodings replace earlier ones.
+* Coefficients must be finite: every setter, ``add_`` accumulation and
+  ``from_dense`` raises ``ValueError`` on NaN or ±inf, which would
+  otherwise reach the samplers as ``nan`` energies.
 * Pickling ships only ``(n, coefficients, offset)`` — never a dense matrix —
   so worker payloads in :mod:`repro.anneal.parallel` and
   :mod:`repro.service.batch` stay proportional to the number of nonzeros.
@@ -29,6 +32,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -49,6 +53,14 @@ from repro.qubo.sparse import (
 )
 
 __all__ = ["QuboModel"]
+
+
+def _finite(key: Tuple[int, int], value: float) -> float:
+    """*value* as a float, or ``ValueError`` if it is NaN or infinite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"QUBO coefficient {key} must be finite, got {value}")
+    return value
 
 
 class QuboModel:
@@ -92,7 +104,7 @@ class QuboModel:
             for (i, j), value in to_upper_triangular(coefficients).items():
                 self._check_index(i)
                 self._check_index(j)
-                self._coeffs[(i, j)] = value
+                self._coeffs[(i, j)] = _finite((i, j), value)
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -182,14 +194,14 @@ class QuboModel:
     def set_linear(self, i: int, value: float) -> None:
         """Overwrite the diagonal entry ``Q[i, i]``."""
         self._check_index(i)
-        self._coeffs[(i, i)] = float(value)
+        self._coeffs[(i, i)] = _finite((i, i), value)
         self._invalidate()
 
     def add_linear(self, i: int, value: float) -> None:
         """Accumulate into the diagonal entry ``Q[i, i]``."""
         self._check_index(i)
         key = (i, i)
-        self._coeffs[key] = self._coeffs.get(key, 0.0) + float(value)
+        self._coeffs[key] = _finite(key, self._coeffs.get(key, 0.0) + float(value))
         self._invalidate()
 
     def set_quadratic(self, i: int, j: int, value: float) -> None:
@@ -198,7 +210,8 @@ class QuboModel:
             raise ValueError("use set_linear for diagonal entries")
         self._check_index(i)
         self._check_index(j)
-        self._coeffs[self._key(i, j)] = float(value)
+        key = self._key(i, j)
+        self._coeffs[key] = _finite(key, value)
         self._invalidate()
 
     def add_quadratic(self, i: int, j: int, value: float) -> None:
@@ -208,7 +221,7 @@ class QuboModel:
         self._check_index(i)
         self._check_index(j)
         key = self._key(i, j)
-        self._coeffs[key] = self._coeffs.get(key, 0.0) + float(value)
+        self._coeffs[key] = _finite(key, self._coeffs.get(key, 0.0) + float(value))
         self._invalidate()
 
     def iter_coefficients(self) -> Iterator[Tuple[int, int, float]]:
@@ -291,6 +304,8 @@ class QuboModel:
     def from_dense(cls, q: np.ndarray, offset: float = 0.0) -> "QuboModel":
         """Build a model from any square matrix (triangles are folded)."""
         q = np.asarray(q, dtype=np.float64)
+        if not np.isfinite(q).all():
+            raise ValueError("QUBO coefficients must be finite")
         model = cls(q.shape[0], offset=offset)
         model._coeffs = dict_from_dense(q)
         return model

@@ -73,6 +73,45 @@ class TestAccessors:
         np.testing.assert_array_equal(m.linear_vector(), [0.0, -7.0, 0.0])
 
 
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m, v: m.set_linear(0, v),
+            lambda m, v: m.add_linear(0, v),
+            lambda m, v: m.set_quadratic(1, 2, v),
+            lambda m, v: m.add_quadratic(2, 1, v),
+        ],
+        ids=["set_linear", "add_linear", "set_quadratic", "add_quadratic"],
+    )
+    def test_setters_reject(self, mutate, value):
+        m = QuboModel(3, {(0, 0): 1.0, (1, 2): -1.0})
+        with pytest.raises(ValueError, match="finite"):
+            mutate(m, value)
+        assert m.to_dict() == {(0, 0): 1.0, (1, 2): -1.0}
+
+    def test_accumulated_overflow_rejected(self):
+        m = QuboModel(2)
+        m.add_linear(0, 1e308)
+        with pytest.raises(ValueError, match="finite"):
+            m.add_linear(0, 1e308)
+        assert m.get(0) == 1e308
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_from_dense_rejects(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            QuboModel.from_dense(np.diag([value, 1.0, -1.0]))
+        q = np.zeros((3, 3))
+        q[0, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            QuboModel.from_dense(q)
+
+    def test_constructor_rejects(self):
+        with pytest.raises(ValueError, match="finite"):
+            QuboModel(2, {(0, 1): float("nan")})
+
+
 class TestMatrixViews:
     def test_dense_cache_invalidated_on_mutation(self):
         m = QuboModel(2)
